@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <utility>
 
 #include "common/check.h"
 
@@ -19,43 +21,25 @@ cluster::TaskShape GrowthDelta(const TeamProfile& profile) {
   return delta;
 }
 
-/// Clusters sorted by believed cost of hosting `delta`, cheapest first.
-/// Cost is scaled by the placement-penalty factor, and chronically
-/// unplaceable clusters (penalty >= kPlacementPenaltyAvoid) are dropped;
-/// with no placement memory (the outcome_feedback-off path) every factor
-/// is exactly 1 and nothing is dropped, so the ranking is bit-identical
-/// to the price-only ordering.
-std::vector<std::string> ClustersByBelievedCost(
-    const StrategyContext& ctx, const cluster::TaskShape& delta) {
-  const PoolRegistry& registry = *ctx.view->registry;
-  std::vector<std::string> clusters = registry.Clusters();
-  std::vector<std::pair<double, std::string>> ranked;
-  ranked.reserve(clusters.size());
-  for (std::string& c : clusters) {
-    const double penalty =
-        ClusterPlacementPenalty(registry, ctx.placement_penalty, c);
-    if (penalty >= kPlacementPenaltyAvoid) continue;
-    const double cost =
-        BelievedClusterCost(registry, *ctx.learner, c, delta) *
-        (1.0 + kPlacementPenaltyWeight * penalty);
-    ranked.emplace_back(cost, std::move(c));
-  }
-  std::sort(ranked.begin(), ranked.end());
-  clusters.clear();
-  for (auto& [cost, name] : ranked) clusters.push_back(std::move(name));
-  return clusters;
+/// Sentinel cluster index: never equal to a registry cluster index.
+constexpr std::size_t kNoCluster = static_cast<std::size_t>(-1);
+
+/// The registry's cluster index of the team's home (kNoCluster if the
+/// home has no interned pool).
+std::size_t HomeIndex(const PoolRegistry& registry,
+                      const TeamProfile& profile) {
+  return registry.ClusterIndex(profile.home_cluster).value_or(kNoCluster);
 }
 
 /// Whether `delta` fits in the operator's free capacity of `cluster`
 /// (strategies avoid bidding into walls — proxies would just drop out).
-bool FitsFreeCapacity(const MarketView& view, const std::string& cluster,
+bool FitsFreeCapacity(const MarketView& view, std::size_t cluster,
                       const cluster::TaskShape& delta) {
-  const PoolRegistry& registry = *view.registry;
   for (ResourceKind kind : kAllResourceKinds) {
     if (delta.Of(kind) <= 0.0) continue;
-    const auto id = registry.Find(PoolKey{cluster, kind});
-    if (!id.has_value()) return false;
-    if (view.free_capacity[*id] < delta.Of(kind)) return false;
+    const PoolId id = view.registry->PoolOf(cluster, kind);
+    if (id == kInvalidPool) return false;
+    if (view.free_capacity[id] < delta.Of(kind)) return false;
   }
   return true;
 }
@@ -82,8 +66,10 @@ class TruthfulGrowthStrategy final : public Strategy {
     double cheapest_cost = BelievedClusterCost(
         registry, *ctx.learner, profile.home_cluster, delta);
     const double setup_penalty = 0.02 * profile.relocation_cost;
-    for (const std::string& c : ClustersByBelievedCost(ctx, delta)) {
-      if (c == profile.home_cluster) continue;
+    const std::size_t home = HomeIndex(registry, profile);
+    for (const std::size_t c : ClustersByBelievedCost(
+             registry, *ctx.learner, ctx.placement_penalty, delta)) {
+      if (c == home) continue;
       if (!FitsFreeCapacity(*ctx.view, c, delta)) continue;
       const double cost =
           BelievedClusterCost(registry, *ctx.learner, c, delta) +
@@ -162,11 +148,12 @@ class OpportunistMoverStrategy final : public Strategy {
 
     const double home_value = BelievedClusterCost(
         registry, *ctx.learner, profile.home_cluster, slice);
-    std::string best;
+    const std::size_t home = HomeIndex(registry, profile);
+    std::size_t best = kNoCluster;
     double best_cost = std::numeric_limits<double>::infinity();
     double best_ranked = std::numeric_limits<double>::infinity();
-    for (const std::string& c : registry.Clusters()) {
-      if (c == profile.home_cluster) continue;
+    for (std::size_t c = 0; c < registry.Clusters().size(); ++c) {
+      if (c == home) continue;
       if (!FitsFreeCapacity(*ctx.view, c, slice)) continue;
       // Rank destinations with the placement-failure factor but keep the
       // raw believed cost for the relocation gate and the bid limit (a
@@ -184,7 +171,7 @@ class OpportunistMoverStrategy final : public Strategy {
         best = c;
       }
     }
-    if (best.empty()) return {};
+    if (best == kNoCluster) return {};
     if (home_value - best_cost < profile.relocation_cost) {
       // The spread does not pay for the reconfiguration work; fall back
       // to growing like a truthful bidder would.
@@ -209,8 +196,9 @@ class OpportunistMoverStrategy final : public Strategy {
     rebuy.name = profile.name + "/relocate";
     rebuy.bundles = {BundleForCluster(registry, best, slice)};
     int alternatives = 0;
-    for (const std::string& c : ClustersByBelievedCost(ctx, slice)) {
-      if (c == profile.home_cluster || c == best) continue;
+    for (const std::size_t c : ClustersByBelievedCost(
+             registry, *ctx.learner, ctx.placement_penalty, slice)) {
+      if (c == home || c == best) continue;
       if (!FitsFreeCapacity(*ctx.view, c, slice)) continue;
       rebuy.bundles.push_back(BundleForCluster(registry, c, slice));
       if (++alternatives >= 2) break;
@@ -349,52 +337,118 @@ class ArbitrageurStrategy final : public Strategy {
 
 double ClusterPlacementPenalty(const PoolRegistry& registry,
                                const std::vector<double>* penalty,
-                               const std::string& cluster) {
+                               std::size_t cluster) {
   if (penalty == nullptr || penalty->empty()) return 0.0;
   double worst = 0.0;
   for (ResourceKind kind : kAllResourceKinds) {
-    const auto id = registry.Find(PoolKey{cluster, kind});
-    if (!id.has_value() || *id >= penalty->size()) continue;
-    worst = std::max(worst, (*penalty)[*id]);
+    const PoolId id = registry.PoolOf(cluster, kind);
+    if (id == kInvalidPool || id >= penalty->size()) continue;
+    worst = std::max(worst, (*penalty)[id]);
   }
   return worst;
+}
+
+double ClusterPlacementPenalty(const PoolRegistry& registry,
+                               const std::vector<double>* penalty,
+                               const std::string& cluster) {
+  const std::optional<std::size_t> index = registry.ClusterIndex(cluster);
+  if (!index.has_value()) return 0.0;
+  return ClusterPlacementPenalty(registry, penalty, *index);
+}
+
+std::vector<std::size_t> ClustersByBelievedCost(
+    const PoolRegistry& registry, const PriceLearner& learner,
+    const std::vector<double>* placement_penalty,
+    const cluster::TaskShape& delta) {
+  const std::vector<std::string>& names = registry.Clusters();
+  std::vector<std::pair<double, std::size_t>> ranked;
+  ranked.reserve(names.size());
+  for (std::size_t c = 0; c < names.size(); ++c) {
+    const double penalty =
+        ClusterPlacementPenalty(registry, placement_penalty, c);
+    if (penalty >= kPlacementPenaltyAvoid) continue;
+    const double cost = BelievedClusterCost(registry, learner, c, delta) *
+                        (1.0 + kPlacementPenaltyWeight * penalty);
+    ranked.emplace_back(cost, c);
+  }
+  // Cost, then name: the lexicographic order of (cost, name) pairs.
+  std::sort(ranked.begin(), ranked.end(),
+            [&names](const std::pair<double, std::size_t>& a,
+                     const std::pair<double, std::size_t>& b) {
+              if (a.first < b.first) return true;
+              if (b.first < a.first) return false;
+              return names[a.second] < names[b.second];
+            });
+  std::vector<std::size_t> clusters;
+  clusters.reserve(ranked.size());
+  for (const auto& [cost, c] : ranked) clusters.push_back(c);
+  return clusters;
 }
 
 bool IsArbitrageBidName(std::string_view bid_name) {
   return bid_name.find("/arb-") != std::string_view::npos;
 }
 
+namespace {
+
+/// The pool of (cluster, kind) for a kind the caller trades in; the
+/// cluster must have one.
+PoolId TradedPool(const PoolRegistry& registry, std::size_t cluster,
+                  ResourceKind kind) {
+  const PoolId id = registry.PoolOf(cluster, kind);
+  PM_CHECK_MSG(id != kInvalidPool, "cluster '" << registry.Clusters()[cluster]
+                                               << "' missing pool for kind "
+                                               << pm::ToString(kind));
+  return id;
+}
+
+/// The cluster index of a named cluster the caller trades in.
+std::size_t TradedCluster(const PoolRegistry& registry,
+                          const std::string& cluster) {
+  const std::optional<std::size_t> index = registry.ClusterIndex(cluster);
+  PM_CHECK_MSG(index.has_value(), "cluster '" << cluster
+                                              << "' has no pools");
+  return *index;
+}
+
+}  // namespace
+
 bid::Bundle BundleForCluster(const PoolRegistry& registry,
-                             const std::string& cluster,
+                             std::size_t cluster,
                              const cluster::TaskShape& delta) {
   std::vector<bid::BundleItem> items;
   for (ResourceKind kind : kAllResourceKinds) {
     const double qty = delta.Of(kind);
     if (qty == 0.0) continue;
-    const auto id = registry.Find(PoolKey{cluster, kind});
-    PM_CHECK_MSG(id.has_value(), "cluster '" << cluster
-                                             << "' missing pool for kind "
-                                             << pm::ToString(kind));
-    items.push_back(bid::BundleItem{*id, qty});
+    items.push_back(bid::BundleItem{TradedPool(registry, cluster, kind), qty});
   }
   return bid::Bundle(std::move(items));
+}
+
+bid::Bundle BundleForCluster(const PoolRegistry& registry,
+                             const std::string& cluster,
+                             const cluster::TaskShape& delta) {
+  return BundleForCluster(registry, TradedCluster(registry, cluster), delta);
+}
+
+double BelievedClusterCost(const PoolRegistry& registry,
+                           const PriceLearner& learner, std::size_t cluster,
+                           const cluster::TaskShape& delta) {
+  double cost = 0.0;
+  for (ResourceKind kind : kAllResourceKinds) {
+    const double qty = delta.Of(kind);
+    if (qty == 0.0) continue;
+    cost += qty * learner.Belief(TradedPool(registry, cluster, kind));
+  }
+  return cost;
 }
 
 double BelievedClusterCost(const PoolRegistry& registry,
                            const PriceLearner& learner,
                            const std::string& cluster,
                            const cluster::TaskShape& delta) {
-  double cost = 0.0;
-  for (ResourceKind kind : kAllResourceKinds) {
-    const double qty = delta.Of(kind);
-    if (qty == 0.0) continue;
-    const auto id = registry.Find(PoolKey{cluster, kind});
-    PM_CHECK_MSG(id.has_value(), "cluster '" << cluster
-                                             << "' missing pool for kind "
-                                             << pm::ToString(kind));
-    cost += qty * learner.Belief(*id);
-  }
-  return cost;
+  return BelievedClusterCost(registry, learner,
+                             TradedCluster(registry, cluster), delta);
 }
 
 std::unique_ptr<Strategy> MakeStrategy(StrategyKind kind) {

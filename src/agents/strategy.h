@@ -21,7 +21,9 @@
 //    holdings priced above.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -67,12 +69,19 @@ bool IsArbitrageBidName(std::string_view bid_name);
 
 /// Helper shared by strategies and tests: the bundle a team of shape
 /// `delta` needs in `cluster` (one item per resource kind with nonzero
-/// demand), built against `registry`.
+/// demand), built against `registry`. `cluster` is a registry cluster
+/// index (PoolRegistry::ClusterIndex); the by-name form looks it up.
+bid::Bundle BundleForCluster(const PoolRegistry& registry,
+                             std::size_t cluster,
+                             const cluster::TaskShape& delta);
 bid::Bundle BundleForCluster(const PoolRegistry& registry,
                              const std::string& cluster,
                              const cluster::TaskShape& delta);
 
-/// Helper: believed cost of placing `delta` in `cluster`.
+/// Helper: believed cost of placing `delta` in `cluster` (index or name).
+double BelievedClusterCost(const PoolRegistry& registry,
+                           const PriceLearner& learner, std::size_t cluster,
+                           const cluster::TaskShape& delta);
 double BelievedClusterCost(const PoolRegistry& registry,
                            const PriceLearner& learner,
                            const std::string& cluster,
@@ -92,9 +101,24 @@ inline constexpr double kPlacementPenaltyAvoid = 0.6;
 
 /// The cluster's penalty: the worst per-kind pool score in the agent's
 /// placement memory (0 when the memory is null/empty — the gate-off
-/// path, where every factor below multiplies by exactly 1).
+/// path, where every factor below multiplies by exactly 1 — and for a
+/// name the registry does not know).
+double ClusterPlacementPenalty(const PoolRegistry& registry,
+                               const std::vector<double>* penalty,
+                               std::size_t cluster);
 double ClusterPlacementPenalty(const PoolRegistry& registry,
                                const std::vector<double>* penalty,
                                const std::string& cluster);
+
+/// Registry cluster indices ranked by believed cost of hosting `delta`,
+/// cheapest first, ties broken by cluster name. Cost is scaled by the
+/// placement-penalty factor, and chronically unplaceable clusters
+/// (penalty >= kPlacementPenaltyAvoid) are dropped; with no placement
+/// memory (the outcome_feedback-off path) every factor is exactly 1 and
+/// nothing is dropped, so the ranking is the price-only ordering.
+std::vector<std::size_t> ClustersByBelievedCost(
+    const PoolRegistry& registry, const PriceLearner& learner,
+    const std::vector<double>* placement_penalty,
+    const cluster::TaskShape& delta);
 
 }  // namespace pm::agents

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <unordered_map>
 
 #include "common/check.h"
 
@@ -122,15 +123,18 @@ World GenerateWorld(const WorkloadConfig& config) {
   }
 
   // --- Footprints from the actually placed jobs --------------------------
+  std::unordered_map<std::string, std::size_t> draft_of_team;
+  for (std::size_t t = 0; t < drafts.size(); ++t) {
+    draft_of_team.emplace(drafts[t].profile.name, t);
+  }
   std::vector<cluster::TaskShape> footprints(drafts.size());
-  for (const cluster::JobLocation& loc : fleet.AllJobs()) {
-    const cluster::Job* job =
-        fleet.ClusterByName(loc.cluster).FindJob(loc.job);
-    PM_CHECK(job != nullptr);
-    for (std::size_t t = 0; t < drafts.size(); ++t) {
-      if (drafts[t].profile.name == job->team) {
-        footprints[t] += job->TotalDemand();
-        break;
+  for (const cluster::Cluster& cl : fleet.clusters()) {
+    for (const cluster::JobId id : cl.JobIds()) {
+      const cluster::Job* job = cl.FindJob(id);
+      PM_CHECK(job != nullptr);
+      const auto it = draft_of_team.find(job->team);
+      if (it != draft_of_team.end()) {
+        footprints[it->second] += job->TotalDemand();
       }
     }
   }

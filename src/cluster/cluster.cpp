@@ -9,6 +9,13 @@ namespace pm::cluster {
 Cluster::Cluster(std::string name, std::vector<Machine> machines)
     : name_(std::move(name)), machines_(std::move(machines)) {
   PM_CHECK_MSG(!name_.empty(), "cluster needs a name");
+  for (const Machine& m : machines_) capacity_ += m.capacity();
+  RecountUsed();
+}
+
+void Cluster::RecountUsed() {
+  used_ = TaskShape{};
+  for (const Machine& m : machines_) used_ += m.used();
 }
 
 Cluster Cluster::Homogeneous(std::string name, int num_machines,
@@ -29,9 +36,11 @@ bool Cluster::AddJob(const Job& job, PlacementPolicy policy) {
       PlaceTasks(machines_, job.shape, job.tasks, policy);
   if (!placement.Complete()) {
     UndoPlacement(machines_, job.shape, placement);
+    RecountUsed();
     return false;
   }
   jobs_.emplace(job.id, PlacedJob{job, std::move(placement), next_order_++});
+  RecountUsed();
   return true;
 }
 
@@ -41,6 +50,7 @@ std::optional<Job> Cluster::RemoveJob(JobId id) {
   UndoPlacement(machines_, it->second.job.shape, it->second.placement);
   Job job = std::move(it->second.job);
   jobs_.erase(it);
+  RecountUsed();
   return job;
 }
 
@@ -74,18 +84,6 @@ std::vector<JobId> Cluster::JobIds() const {
 const Job* Cluster::FindJob(JobId id) const {
   auto it = jobs_.find(id);
   return it == jobs_.end() ? nullptr : &it->second.job;
-}
-
-double Cluster::Capacity(ResourceKind kind) const {
-  double total = 0.0;
-  for (const Machine& m : machines_) total += m.capacity().Of(kind);
-  return total;
-}
-
-double Cluster::Used(ResourceKind kind) const {
-  double total = 0.0;
-  for (const Machine& m : machines_) total += m.used().Of(kind);
-  return total;
 }
 
 double Cluster::Utilization(ResourceKind kind) const {

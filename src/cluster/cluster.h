@@ -54,10 +54,10 @@ class Cluster {
   const Job* FindJob(JobId id) const;
 
   /// Total capacity across machines for a resource kind.
-  double Capacity(ResourceKind kind) const;
+  double Capacity(ResourceKind kind) const { return capacity_.Of(kind); }
 
   /// Total usage across machines for a resource kind.
-  double Used(ResourceKind kind) const;
+  double Used(ResourceKind kind) const { return used_.Of(kind); }
 
   /// ψ for one dimension: Used/Capacity in [0, 1] (0 when no capacity).
   double Utilization(ResourceKind kind) const;
@@ -94,8 +94,16 @@ class Cluster {
     std::size_t order;  // Insertion order for deterministic iteration.
   };
 
+  /// Re-sums used_ over the machines, in machine order, after any change
+  /// to machine usage.
+  void RecountUsed();
+
   std::string name_;
   std::vector<Machine> machines_;
+  // Per-kind sums over machines_, in machine order: capacity_ is fixed at
+  // construction, used_ is re-summed whenever a placement changes.
+  TaskShape capacity_;
+  TaskShape used_;
   std::unordered_map<JobId, PlacedJob> jobs_;
   std::size_t next_order_ = 0;
 };

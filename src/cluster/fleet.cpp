@@ -1,6 +1,7 @@
 #include "cluster/fleet.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/check.h"
 #include "stats/descriptive.h"
@@ -81,28 +82,30 @@ bool Fleet::HasCluster(const std::string& name) const {
                      [&](const Cluster& c) { return c.name() == name; });
 }
 
-std::vector<double> Fleet::CapacityVector() const {
-  std::vector<double> v(registry_.size(), 0.0);
-  for (const Cluster& c : clusters_) {
+template <typename ValueFn>
+std::vector<double> Fleet::PerPool(double fill, ValueFn value) const {
+  std::vector<double> v(registry_.size(), fill);
+  for (std::size_t i = 0; i < clusters_.size(); ++i) {
+    const Cluster& c = clusters_[i];
+    const auto index = registry_.ClusterIndex(c.name());
+    PM_CHECK(index.has_value());
     for (ResourceKind kind : kAllResourceKinds) {
-      const auto id = registry_.Find(PoolKey{c.name(), kind});
-      PM_CHECK(id.has_value());
-      v[*id] = c.Capacity(kind);
+      v[registry_.PoolOf(*index, kind)] = value(i, c, kind);
     }
   }
   return v;
 }
 
+std::vector<double> Fleet::CapacityVector() const {
+  return PerPool(0.0, [](std::size_t, const Cluster& c, ResourceKind kind) {
+    return c.Capacity(kind);
+  });
+}
+
 std::vector<double> Fleet::UsedVector() const {
-  std::vector<double> v(registry_.size(), 0.0);
-  for (const Cluster& c : clusters_) {
-    for (ResourceKind kind : kAllResourceKinds) {
-      const auto id = registry_.Find(PoolKey{c.name(), kind});
-      PM_CHECK(id.has_value());
-      v[*id] = c.Used(kind);
-    }
-  }
-  return v;
+  return PerPool(0.0, [](std::size_t, const Cluster& c, ResourceKind kind) {
+    return c.Used(kind);
+  });
 }
 
 std::vector<double> Fleet::FreeVector() const {
@@ -115,15 +118,9 @@ std::vector<double> Fleet::FreeVector() const {
 }
 
 std::vector<double> Fleet::UtilizationVector() const {
-  std::vector<double> v(registry_.size(), 0.0);
-  for (const Cluster& c : clusters_) {
-    for (ResourceKind kind : kAllResourceKinds) {
-      const auto id = registry_.Find(PoolKey{c.name(), kind});
-      PM_CHECK(id.has_value());
-      v[*id] = c.Utilization(kind);
-    }
-  }
-  return v;
+  return PerPool(0.0, [](std::size_t, const Cluster& c, ResourceKind kind) {
+    return c.Utilization(kind);
+  });
 }
 
 std::vector<double> Fleet::CostVector() const {
@@ -231,6 +228,21 @@ double Fleet::UtilizationPercentile(const std::string& cluster,
   }
   PM_CHECK_MSG(HasCluster(cluster), "unknown cluster '" << cluster << "'");
   return stats::PercentileRank(utils, target);
+}
+
+std::vector<double> Fleet::UtilizationPercentiles() const {
+  std::vector<double> utils[kNumResourceKinds];
+  for (ResourceKind kind : kAllResourceKinds) {
+    std::vector<double>& u = utils[static_cast<int>(kind)];
+    u.reserve(clusters_.size());
+    for (const Cluster& c : clusters_) u.push_back(c.Utilization(kind));
+  }
+  return PerPool(std::numeric_limits<double>::quiet_NaN(),
+                 [&](std::size_t i, const Cluster&, ResourceKind kind) {
+                   const std::vector<double>& u =
+                       utils[static_cast<int>(kind)];
+                   return stats::PercentileRank(u, u[i]);
+                 });
 }
 
 }  // namespace pm::cluster

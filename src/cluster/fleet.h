@@ -48,6 +48,9 @@ class Fleet {
   std::vector<std::string> ClusterNames() const;
   std::size_t NumClusters() const { return clusters_.size(); }
 
+  /// The live clusters, in fleet order (construction, then adoption).
+  const std::vector<Cluster>& clusters() const { return clusters_; }
+
   Cluster& ClusterByName(const std::string& name);
   const Cluster& ClusterByName(const std::string& name) const;
   bool HasCluster(const std::string& name) const;
@@ -112,12 +115,21 @@ class Fleet {
   double UtilizationPercentile(const std::string& cluster,
                                ResourceKind kind) const;
 
+  /// Dense per-pool UtilizationPercentile, computed in one pass over the
+  /// clusters; NaN for pools whose cluster has left the fleet.
+  std::vector<double> UtilizationPercentiles() const;
+
  private:
   struct RestoreTag {};
   Fleet(RestoreTag, std::vector<Cluster> clusters, TaskShape unit_costs,
         PlacementPolicy policy);
 
   std::size_t IndexOf(const std::string& cluster) const;
+
+  /// A per-pool vector holding value(fleet position, cluster, kind) at
+  /// each live pool and `fill` at the pools of departed clusters.
+  template <typename ValueFn>
+  std::vector<double> PerPool(double fill, ValueFn value) const;
 
   std::vector<Cluster> clusters_;
   PoolRegistry registry_;

@@ -1,7 +1,6 @@
 #include "common/types.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/check.h"
 
@@ -45,27 +44,41 @@ std::string ToString(const PoolKey& key) {
   return out;
 }
 
-std::size_t PoolRegistry::KeyHash::operator()(
-    const PoolKey& k) const noexcept {
-  std::size_t h = std::hash<std::string>{}(k.cluster);
-  // Boost-style hash combine with the kind.
-  h ^= std::hash<int>{}(static_cast<int>(k.kind)) + 0x9e3779b97f4a7c15ULL +
-       (h << 6) + (h >> 2);
-  return h;
-}
-
 PoolId PoolRegistry::Intern(const PoolKey& key) {
-  auto it = index_.find(key);
-  if (it != index_.end()) return it->second;
-  const PoolId id = static_cast<PoolId>(keys_.size());
-  keys_.push_back(key);
-  index_.emplace(key, id);
+  const auto kind = static_cast<std::size_t>(key.kind);
+  PM_CHECK_MSG(kind < static_cast<std::size_t>(kNumResourceKinds),
+               "unknown resource kind " << kind << " for cluster '"
+                                        << key.cluster << "'");
+  auto [it, inserted] = cluster_index_.try_emplace(key.cluster,
+                                                   clusters_.size());
+  if (inserted) {
+    clusters_.push_back(key.cluster);
+    pools_.emplace_back();
+    pools_.back().fill(kInvalidPool);
+  }
+  PoolId& id = pools_[it->second][kind];
+  if (id == kInvalidPool) {
+    id = static_cast<PoolId>(keys_.size());
+    keys_.push_back(key);
+  }
   return id;
 }
 
 std::optional<PoolId> PoolRegistry::Find(const PoolKey& key) const {
-  auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
+  const std::optional<std::size_t> cluster = ClusterIndex(key.cluster);
+  if (!cluster.has_value() ||
+      static_cast<int>(key.kind) >= kNumResourceKinds) {
+    return std::nullopt;
+  }
+  const PoolId id = PoolOf(*cluster, key.kind);
+  if (id == kInvalidPool) return std::nullopt;
+  return id;
+}
+
+std::optional<std::size_t> PoolRegistry::ClusterIndex(
+    std::string_view cluster) const {
+  auto it = cluster_index_.find(cluster);
+  if (it == cluster_index_.end()) return std::nullopt;
   return it->second;
 }
 
@@ -78,9 +91,12 @@ const PoolKey& PoolRegistry::KeyOf(PoolId id) const {
 std::vector<PoolId> PoolRegistry::PoolsInCluster(
     std::string_view cluster) const {
   std::vector<PoolId> out;
-  for (PoolId id = 0; id < keys_.size(); ++id) {
-    if (keys_[id].cluster == cluster) out.push_back(id);
+  const std::optional<std::size_t> index = ClusterIndex(cluster);
+  if (!index.has_value()) return out;
+  for (const PoolId id : pools_[*index]) {
+    if (id != kInvalidPool) out.push_back(id);
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -88,16 +104,6 @@ std::vector<PoolId> PoolRegistry::PoolsOfKind(ResourceKind kind) const {
   std::vector<PoolId> out;
   for (PoolId id = 0; id < keys_.size(); ++id) {
     if (keys_[id].kind == kind) out.push_back(id);
-  }
-  return out;
-}
-
-std::vector<std::string> PoolRegistry::Clusters() const {
-  std::vector<std::string> out;
-  for (const PoolKey& key : keys_) {
-    if (std::find(out.begin(), out.end(), key.cluster) == out.end()) {
-      out.push_back(key.cluster);
-    }
   }
   return out;
 }

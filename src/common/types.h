@@ -8,7 +8,9 @@
 // stored as flat vectors indexed by PoolId.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -108,16 +110,33 @@ class PoolRegistry {
   /// All ids of a given resource kind, in interning order.
   std::vector<PoolId> PoolsOfKind(ResourceKind kind) const;
 
-  /// Distinct cluster names, in first-interned order.
-  std::vector<std::string> Clusters() const;
+  /// Distinct cluster names, in first-interned order. A name's position
+  /// here is its cluster index, the dense key of ClusterIndex/PoolOf.
+  const std::vector<std::string>& Clusters() const { return clusters_; }
+
+  /// The cluster index of `cluster`, if any of its pools is interned.
+  std::optional<std::size_t> ClusterIndex(std::string_view cluster) const;
+
+  /// The pool of (cluster index, kind), or kInvalidPool when that kind was
+  /// never interned for the cluster. Precondition: cluster <
+  /// Clusters().size().
+  PoolId PoolOf(std::size_t cluster, ResourceKind kind) const {
+    return pools_[cluster][static_cast<std::size_t>(kind)];
+  }
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const PoolKey& k) const noexcept;
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
   };
 
   std::vector<PoolKey> keys_;
-  std::unordered_map<PoolKey, PoolId, KeyHash> index_;
+  std::vector<std::string> clusters_;
+  std::unordered_map<std::string, std::size_t, NameHash, std::equal_to<>>
+      cluster_index_;
+  std::vector<std::array<PoolId, kNumResourceKinds>> pools_;
 };
 
 }  // namespace pm

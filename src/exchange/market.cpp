@@ -53,12 +53,12 @@ Market::Market(cluster::Fleet* fleet,
   }
   // §I quota bootstrap: every team starts entitled to exactly what it
   // already runs, and its usage is charged accordingly.
-  for (const cluster::JobLocation& loc : fleet_->AllJobs()) {
-    const cluster::Job* job =
-        fleet_->ClusterByName(loc.cluster).FindJob(loc.job);
-    PM_CHECK(job != nullptr);
-    ApplyJobQuota(job->team, loc.cluster, job->TotalDemand(),
-                  /*add=*/true);
+  for (const cluster::Cluster& cl : fleet_->clusters()) {
+    for (const cluster::JobId id : cl.JobIds()) {
+      const cluster::Job* job = cl.FindJob(id);
+      PM_CHECK(job != nullptr);
+      ApplyJobQuota(job->team, cl.name(), job->TotalDemand(), /*add=*/true);
+    }
   }
 }
 
@@ -405,28 +405,28 @@ AuctionReport Market::RunAuction() {
 void Market::RecordTrades(const CollectedBids& collected,
                           const auction::Settlement& settlement,
                           AuctionReport& report) const {
-  // Pre-compute each cluster's pre-auction utilization percentile per
-  // kind (Figure 7's y-axis).
+  // Each pool's pre-auction utilization percentile (Figure 7's y-axis),
+  // computed once for the whole settlement.
   const PoolRegistry& registry = fleet_->registry();
+  const std::vector<double> percentiles = fleet_->UtilizationPercentiles();
   for (const auction::Award& award : settlement.awards) {
     const bid::Bid& b = collected.bids[award.user];
     const std::string& team = collected.origin[award.user].team;
     const bid::Bundle& bundle =
         b.bundles[static_cast<std::size_t>(award.bundle_index)];
     for (const bid::BundleItem& item : bundle.items()) {
-      const PoolKey& key = registry.KeyOf(item.pool);
       // A pool can outlive its cluster (migrated to another shard); such
-      // quota-only trades carry no live percentile, and a 0.0 sentinel
-      // would read as a real coldest-cluster rank in the Figure 7
-      // distributions — drop the sample instead.
-      if (!fleet_->HasCluster(key.cluster)) continue;
+      // quota-only trades carry no live percentile (NaN in the table), and
+      // a 0.0 sentinel would read as a real coldest-cluster rank in the
+      // Figure 7 distributions — drop the sample instead.
+      const double percentile = percentiles[item.pool];
+      if (std::isnan(percentile)) continue;
       TradeSample sample;
-      sample.kind = key.kind;
+      sample.kind = registry.KeyOf(item.pool).kind;
       sample.is_bid = item.qty > 0.0;
       sample.qty = std::abs(item.qty);
       sample.team = team;
-      sample.util_percentile =
-          fleet_->UtilizationPercentile(key.cluster, key.kind);
+      sample.util_percentile = percentile;
       report.trades.push_back(std::move(sample));
     }
   }
@@ -438,12 +438,13 @@ void Market::RefreshTeamProfiles() {
   std::unordered_map<std::string, cluster::TaskShape> footprints;
   std::unordered_map<std::string, std::unordered_map<std::string, double>>
       cpu_by_cluster;
-  for (const cluster::JobLocation& loc : fleet_->AllJobs()) {
-    const cluster::Job* job =
-        fleet_->ClusterByName(loc.cluster).FindJob(loc.job);
-    PM_CHECK(job != nullptr);
-    footprints[job->team] += job->TotalDemand();
-    cpu_by_cluster[job->team][loc.cluster] += job->TotalDemand().cpu;
+  for (const cluster::Cluster& cl : fleet_->clusters()) {
+    for (const cluster::JobId id : cl.JobIds()) {
+      const cluster::Job* job = cl.FindJob(id);
+      PM_CHECK(job != nullptr);
+      footprints[job->team] += job->TotalDemand();
+      cpu_by_cluster[job->team][cl.name()] += job->TotalDemand().cpu;
+    }
   }
   for (agents::TeamAgent& agent : *agents_) {
     agents::TeamProfile& profile = agent.mutable_profile();

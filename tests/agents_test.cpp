@@ -2,10 +2,15 @@
 // generation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+
 #include "agents/strategy.h"
 #include "agents/team.h"
 #include "agents/workload_gen.h"
 #include "common/check.h"
+#include "common/rng.h"
 
 namespace pm::agents {
 namespace {
@@ -123,6 +128,88 @@ TEST(StrategyHelperTest, BelievedClusterCostUsesBeliefs) {
   const double cost = BelievedClusterCost(fx.registry, learner, "cold",
                                           {10.0, 0.0, 0.0});
   EXPECT_DOUBLE_EQ(cost, 50.0);
+}
+
+/// The ranking oracle: (cost, name) pairs built from the by-name helpers,
+/// sorted lexicographically, mapped to cluster indices.
+std::vector<std::size_t> NaiveRanking(const PoolRegistry& registry,
+                                      const PriceLearner& learner,
+                                      const std::vector<double>* penalty,
+                                      const cluster::TaskShape& delta) {
+  std::vector<std::pair<double, std::string>> ranked;
+  for (const std::string& name : registry.Clusters()) {
+    const double p = ClusterPlacementPenalty(registry, penalty, name);
+    if (p >= kPlacementPenaltyAvoid) continue;
+    ranked.emplace_back(BelievedClusterCost(registry, learner, name, delta) *
+                            (1.0 + kPlacementPenaltyWeight * p),
+                        name);
+  }
+  std::sort(ranked.begin(), ranked.end());
+  std::vector<std::size_t> out;
+  for (const auto& [cost, name] : ranked) {
+    out.push_back(*registry.ClusterIndex(name));
+  }
+  return out;
+}
+
+TEST(StrategyHelperTest, RankingBreaksCostTiesByName) {
+  // Interned out of name order; delta/alpha/bravo tie on cost.
+  PoolRegistry registry;
+  for (const char* name : {"delta", "alpha", "charlie", "bravo", "echo"}) {
+    for (ResourceKind kind : kAllResourceKinds) registry.Intern(name, kind);
+  }
+  std::vector<double> beliefs = {2.0, 1.0, 1.0,   // delta
+                                 2.0, 1.0, 1.0,   // alpha
+                                 1.0, 1.0, 1.0,   // charlie: cheapest
+                                 2.0, 1.0, 1.0,   // bravo
+                                 3.0, 1.0, 1.0};  // echo: dearest
+  const PriceLearner learner(beliefs, 0.5, 0.0, 1.0);
+  const cluster::TaskShape delta{4.0, 8.0, 1.0};
+  const std::vector<std::size_t> ranked =
+      ClustersByBelievedCost(registry, learner, nullptr, delta);
+  // charlie, then alpha < bravo < delta by name, then echo.
+  EXPECT_EQ(ranked, (std::vector<std::size_t>{2, 1, 3, 0, 4}));
+  EXPECT_EQ(ranked, NaiveRanking(registry, learner, nullptr, delta));
+
+  // Memory: echo is avoided outright, charlie's penalty makes it tie-free
+  // but dearer than the tied trio.
+  std::vector<double> penalty(registry.size(), 0.0);
+  penalty[*registry.Find(PoolKey{"echo", ResourceKind::kRam})] = 0.7;
+  penalty[*registry.Find(PoolKey{"charlie", ResourceKind::kCpu})] = 0.3;
+  const std::vector<std::size_t> with_memory =
+      ClustersByBelievedCost(registry, learner, &penalty, delta);
+  EXPECT_EQ(with_memory, (std::vector<std::size_t>{1, 3, 0, 2}));
+  EXPECT_EQ(with_memory, NaiveRanking(registry, learner, &penalty, delta));
+}
+
+TEST(StrategyHelperTest, RankingMatchesNaiveSortOnRandomTies) {
+  RandomStream rng(4242);
+  PoolRegistry registry;
+  // Names deliberately out of lexicographic order.
+  for (int c = 0; c < 24; ++c) {
+    const std::string name = "c" + std::to_string((c * 7) % 24);
+    for (ResourceKind kind : kAllResourceKinds) registry.Intern(name, kind);
+  }
+  const double levels[] = {0.5, 1.0, 1.5};
+  const double penalties[] = {0.0, 0.0, 0.2, 0.6, 0.9};
+  int dropped = 0;
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<double> beliefs(registry.size());
+    for (double& b : beliefs) b = levels[rng.UniformInt(0, 2)];
+    const PriceLearner learner(beliefs, 0.5, 0.0, 1.0);
+    std::vector<double> penalty(registry.size());
+    for (double& p : penalty) p = penalties[rng.UniformInt(0, 4)];
+    const cluster::TaskShape delta{
+        static_cast<double>(rng.UniformInt(0, 3)), 2.0,
+        static_cast<double>(rng.UniformInt(0, 1))};
+    const auto* memory = trial % 2 == 0 ? &penalty : nullptr;
+    const std::vector<std::size_t> ranked =
+        ClustersByBelievedCost(registry, learner, memory, delta);
+    EXPECT_EQ(ranked, NaiveRanking(registry, learner, memory, delta))
+        << "trial " << trial;
+    dropped += static_cast<int>(registry.Clusters().size() - ranked.size());
+  }
+  EXPECT_GT(dropped, 0);
 }
 
 TEST(StrategyTest, TruthfulGrowthOffersAlternatives) {

@@ -1,8 +1,14 @@
 // Tests for pm::cluster: machines, placement policies, clusters, fleet.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
+#include "agents/workload_gen.h"
 #include "cluster/fleet.h"
 #include "common/check.h"
+#include "common/rng.h"
+#include "exchange/market.h"
 
 namespace pm::cluster {
 namespace {
@@ -335,6 +341,226 @@ TEST(FleetTest, UtilizationPercentileRanksClusters) {
   EXPECT_GT(pa, pb);
   EXPECT_THROW(fleet.UtilizationPercentile("zz", ResourceKind::kCpu),
                CheckFailure);
+}
+
+// ------------------------------------ cached totals and percentile table --
+// Cluster keeps per-kind capacity/used totals and Fleet builds the Figure 7
+// percentile table in one pass. The oracles are the machine-order sums
+// (recomputed here) and the per-pool UtilizationPercentile.
+
+bool BitEqual(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void ExpectTotalsMatchMachines(const Cluster& c) {
+  for (ResourceKind kind : kAllResourceKinds) {
+    double capacity = 0.0;
+    double used = 0.0;
+    for (const Machine& m : c.machines()) {
+      capacity += m.capacity().Of(kind);
+      used += m.used().Of(kind);
+    }
+    EXPECT_TRUE(BitEqual(c.Capacity(kind), capacity))
+        << c.name() << " " << ToString(kind) << " capacity "
+        << c.Capacity(kind) << " vs " << capacity;
+    EXPECT_TRUE(BitEqual(c.Used(kind), used))
+        << c.name() << " " << ToString(kind) << " used " << c.Used(kind)
+        << " vs " << used;
+  }
+}
+
+void ExpectPercentilesMatchOracle(const Fleet& fleet) {
+  const std::vector<double> table = fleet.UtilizationPercentiles();
+  ASSERT_EQ(table.size(), fleet.NumPools());
+  for (PoolId id = 0; id < table.size(); ++id) {
+    const PoolKey& key = fleet.registry().KeyOf(id);
+    if (!fleet.HasCluster(key.cluster)) {
+      EXPECT_TRUE(std::isnan(table[id])) << ToString(key);
+      continue;
+    }
+    const double oracle = fleet.UtilizationPercentile(key.cluster, key.kind);
+    EXPECT_TRUE(BitEqual(table[id], oracle))
+        << ToString(key) << ": " << table[id] << " vs " << oracle;
+  }
+}
+
+void ExpectFleetMatchesOracles(const Fleet& fleet) {
+  for (const Cluster& c : fleet.clusters()) ExpectTotalsMatchMachines(c);
+  ExpectPercentilesMatchOracle(fleet);
+}
+
+/// Six clusters in two sizes. "a"/"b" and "c"/"d" are identical and
+/// receive identical jobs first, so their utilizations tie exactly.
+Fleet MakeTiedFleet() {
+  std::vector<Cluster> clusters;
+  for (const char* name : {"a", "b", "e"}) {
+    clusters.push_back(Cluster::Homogeneous(name, 3, kMachine));
+  }
+  for (const char* name : {"c", "d", "f"}) {
+    clusters.push_back(Cluster::Homogeneous(name, 5, kMachine));
+  }
+  Fleet fleet(std::move(clusters), TaskShape{10.0, 1.5, 0.8});
+  JobId id = 1000;
+  for (const char* name : {"a", "b", "c", "d"}) {
+    Job job;
+    job.id = id++;
+    job.team = "tie";
+    job.shape = TaskShape{0.3, 1.7, 0.11};  // Inexact in binary.
+    job.tasks = 7;
+    EXPECT_TRUE(fleet.AddJob(name, job));
+  }
+  return fleet;
+}
+
+TEST(ClusterTotalsTest, RandomMutationsKeepTotalsAndPercentilesExact) {
+  Fleet fleet = MakeTiedFleet();
+  ExpectFleetMatchesOracles(fleet);
+  const std::vector<std::string> names = fleet.ClusterNames();
+  const TaskShape shapes[] = {
+      {0.3, 1.7, 0.11}, {1.1, 3.3, 0.7}, {2.0, 8.0, 1.0}};
+  RandomStream rng(20091);
+  std::vector<JobId> live;
+  JobId next_id = 1;
+  int failed_adds = 0;
+  int moves = 0;
+  for (int step = 0; step < 400; ++step) {
+    const std::int64_t op = live.empty() ? 0 : rng.UniformInt(0, 3);
+    if (op <= 1) {
+      Job job;
+      job.id = next_id++;
+      job.team = "t";
+      job.shape = shapes[rng.UniformInt(0, 2)];
+      job.tasks = static_cast<int>(rng.UniformInt(1, 60));
+      const std::string& where =
+          names[static_cast<std::size_t>(rng.UniformInt(0, 5))];
+      if (fleet.AddJob(where, job)) {
+        live.push_back(job.id);
+      } else {
+        ++failed_adds;  // Partially placed, then undone.
+      }
+    } else {
+      const std::size_t pick = static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
+      if (op == 2) {
+        ASSERT_TRUE(fleet.RemoveJob(live[pick]).has_value());
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      } else {
+        fleet.MoveJob(live[pick],
+                      names[static_cast<std::size_t>(rng.UniformInt(0, 5))]);
+        ++moves;
+      }
+    }
+    ExpectFleetMatchesOracles(fleet);
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(failed_adds, 0);
+  EXPECT_GT(moves, 0);
+}
+
+TEST(ClusterTotalsTest, TiedUtilizationsShareOnePercentile) {
+  const Fleet fleet = MakeTiedFleet();
+  const std::vector<double> table = fleet.UtilizationPercentiles();
+  const PoolRegistry& registry = fleet.registry();
+  for (ResourceKind kind : kAllResourceKinds) {
+    const PoolId a = *registry.Find(PoolKey{"a", kind});
+    const PoolId b = *registry.Find(PoolKey{"b", kind});
+    const PoolId e = *registry.Find(PoolKey{"e", kind});
+    const PoolId f = *registry.Find(PoolKey{"f", kind});
+    EXPECT_EQ(table[a], table[b]);
+    EXPECT_EQ(table[e], table[f]);  // Both empty.
+    EXPECT_GT(table[a], table[e]);
+  }
+}
+
+TEST(ClusterTotalsTest, ExtractAndAdoptMarkDeadPoolsNaN) {
+  Fleet fleet = MakeTiedFleet();
+  Cluster moved = fleet.ExtractCluster("b");
+  ExpectFleetMatchesOracles(fleet);
+  const std::vector<double> table = fleet.UtilizationPercentiles();
+  for (ResourceKind kind : kAllResourceKinds) {
+    EXPECT_TRUE(std::isnan(table[*fleet.registry().Find(PoolKey{"b", kind})]));
+  }
+  ExpectTotalsMatchMachines(moved);
+
+  // Adopted under a new name: fresh pools at the end of the registry.
+  moved.SetName("b@elsewhere");
+  fleet.AdoptCluster(std::move(moved));
+  ExpectFleetMatchesOracles(fleet);
+  Cluster again = fleet.ExtractCluster("b@elsewhere");
+  // Adopted back under its first name: its old pools come alive again.
+  again.SetName("b");
+  fleet.AdoptCluster(std::move(again));
+  ExpectFleetMatchesOracles(fleet);
+  const std::vector<double> revived = fleet.UtilizationPercentiles();
+  for (ResourceKind kind : kAllResourceKinds) {
+    EXPECT_FALSE(
+        std::isnan(revived[*fleet.registry().Find(PoolKey{"b", kind})]));
+    EXPECT_TRUE(std::isnan(
+        revived[*fleet.registry().Find(PoolKey{"b@elsewhere", kind})]));
+  }
+}
+
+TEST(ClusterTotalsTest, FromStateWithShuffledPoolOrder) {
+  // Machines restored with non-zero usage, as a checkpoint restore does.
+  std::vector<Cluster> clusters;
+  for (const char* name : {"x", "y", "z"}) {
+    std::vector<Machine> machines;
+    for (int m = 0; m < 4; ++m) {
+      Machine machine(kMachine);
+      machine.RestoreUsed(TaskShape{0.1 * (m + 1), 0.7 * m, 0.33});
+      machines.push_back(machine);
+    }
+    clusters.emplace_back(name, std::move(machines));
+  }
+  // Not cluster-major, and with pools of a departed cluster "gone".
+  std::vector<PoolKey> order;
+  for (ResourceKind kind : {ResourceKind::kDisk, ResourceKind::kCpu,
+                            ResourceKind::kRam}) {
+    for (const char* name : {"z", "gone", "x", "y"}) {
+      order.push_back(PoolKey{name, kind});
+    }
+  }
+  const Fleet fleet = Fleet::FromState(std::move(clusters), order,
+                                       TaskShape{10.0, 1.5, 0.8},
+                                       PlacementPolicy::kBestFit);
+  ASSERT_EQ(fleet.NumPools(), order.size());
+  ExpectFleetMatchesOracles(fleet);
+  const std::vector<double> table = fleet.UtilizationPercentiles();
+  for (ResourceKind kind : kAllResourceKinds) {
+    EXPECT_TRUE(
+        std::isnan(table[*fleet.registry().Find(PoolKey{"gone", kind})]));
+  }
+}
+
+TEST(ClusterTotalsTest, MarketSnapshotRoundTripKeepsTotalsExact) {
+  agents::WorkloadConfig config;
+  config.num_clusters = 5;
+  config.num_teams = 20;
+  config.min_machines_per_cluster = 10;
+  config.max_machines_per_cluster = 20;
+  config.seed = 77;
+  agents::World world = agents::GenerateWorld(config);
+  exchange::Market market(&world.fleet, &world.agents, world.fixed_prices,
+                          exchange::MarketConfig{});
+  market.RunAuction();
+  ExpectFleetMatchesOracles(world.fleet);
+  const std::vector<std::uint8_t> frame = market.Snapshot();
+
+  agents::World twin = agents::GenerateWorld(config);
+  exchange::Market restored(&twin.fleet, &twin.agents, twin.fixed_prices,
+                            exchange::MarketConfig{});
+  restored.Restore(frame);
+  ExpectFleetMatchesOracles(twin.fleet);
+  ASSERT_EQ(twin.fleet.NumClusters(), world.fleet.NumClusters());
+  for (std::size_t i = 0; i < world.fleet.NumClusters(); ++i) {
+    const Cluster& a = world.fleet.clusters()[i];
+    const Cluster& b = twin.fleet.clusters()[i];
+    for (ResourceKind kind : kAllResourceKinds) {
+      EXPECT_TRUE(BitEqual(a.Capacity(kind), b.Capacity(kind)));
+      EXPECT_TRUE(BitEqual(a.Used(kind), b.Used(kind)));
+    }
+  }
+  EXPECT_EQ(restored.Snapshot(), frame);
 }
 
 }  // namespace

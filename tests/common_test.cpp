@@ -111,6 +111,47 @@ TEST(PoolRegistryTest, PoolsInClusterAndOfKind) {
   EXPECT_EQ(reg.Clusters(), (std::vector<std::string>{"a", "b"}));
 }
 
+TEST(PoolRegistryTest, ClusterIndexFollowsFirstInterning) {
+  PoolRegistry reg;
+  EXPECT_EQ(reg.Intern("b", ResourceKind::kRam), 0u);
+  EXPECT_EQ(reg.Intern("a", ResourceKind::kDisk), 1u);
+  EXPECT_EQ(reg.Intern("b", ResourceKind::kCpu), 2u);
+  EXPECT_EQ(reg.Intern("a", ResourceKind::kDisk), 1u);  // Idempotent.
+  EXPECT_EQ(reg.Intern("c", ResourceKind::kCpu), 3u);
+  EXPECT_EQ(reg.Clusters(), (std::vector<std::string>{"b", "a", "c"}));
+  EXPECT_EQ(reg.ClusterIndex("b"), 0u);
+  EXPECT_EQ(reg.ClusterIndex("a"), 1u);
+  EXPECT_EQ(reg.ClusterIndex("c"), 2u);
+  EXPECT_FALSE(reg.ClusterIndex("zz").has_value());
+  // Missing kinds read kInvalidPool.
+  EXPECT_EQ(reg.PoolOf(0, ResourceKind::kCpu), 2u);
+  EXPECT_EQ(reg.PoolOf(0, ResourceKind::kRam), 0u);
+  EXPECT_EQ(reg.PoolOf(0, ResourceKind::kDisk), kInvalidPool);
+  EXPECT_EQ(reg.PoolOf(1, ResourceKind::kCpu), kInvalidPool);
+  EXPECT_EQ(reg.PoolOf(1, ResourceKind::kRam), kInvalidPool);
+  EXPECT_EQ(reg.PoolOf(1, ResourceKind::kDisk), 1u);
+  EXPECT_EQ(reg.PoolOf(2, ResourceKind::kCpu), 3u);
+  EXPECT_EQ(reg.PoolOf(2, ResourceKind::kDisk), kInvalidPool);
+  // Every interned id round-trips through its cluster index.
+  for (PoolId id = 0; id < reg.size(); ++id) {
+    const PoolKey& key = reg.KeyOf(id);
+    EXPECT_EQ(reg.PoolOf(*reg.ClusterIndex(key.cluster), key.kind), id);
+  }
+  EXPECT_EQ(reg.PoolsInCluster("b"), (std::vector<PoolId>{0, 2}));
+  EXPECT_TRUE(reg.PoolsInCluster("zz").empty());
+  EXPECT_FALSE(reg.Find(PoolKey{"a", ResourceKind::kCpu}).has_value());
+}
+
+TEST(PoolRegistryTest, UnknownKindIsRejected) {
+  PoolRegistry reg;
+  const PoolKey bad{"a", static_cast<ResourceKind>(7)};
+  EXPECT_THROW(reg.Intern(bad), CheckFailure);
+  EXPECT_TRUE(reg.empty());
+  EXPECT_TRUE(reg.Clusters().empty());
+  reg.Intern("a", ResourceKind::kCpu);
+  EXPECT_FALSE(reg.Find(bad).has_value());
+}
+
 // ------------------------------------------------------------------ money --
 
 TEST(MoneyTest, DefaultIsZero) {
