@@ -4,7 +4,7 @@
 //         [--epochs E] [--threads T] [--out FILE] [--quiet]
 //         [--faults drop=P,dup=P,delay=N]
 //         [--metrics-out FILE] [--trace-out FILE] [--prom-out FILE]
-//         [--alerts-out FILE] [--console] [--timings]
+//         [--alerts-out FILE] [--console]
 //         [--profile] [--chrome-trace-out FILE]
 //   $ ./example_scenario_runner --list
 //
@@ -18,18 +18,16 @@
 // per-epoch operator console (per-shard health, clearing prices,
 // spread, refund rate, firing alerts) to stdout after the run. All are
 // byte-identical for identical (scenario, seed, epochs, faults) runs at
-// any --threads. --timings additionally collects wall-clock epoch
-// timings into the metrics document's separate timing block — that
-// block is NOT deterministic, which is why it needs its own opt-in. An
-// unwritable output path exits 2.
+// any --threads. An unwritable output path exits 2.
 //
 // --profile arms the profiler's deterministic work-accounting channel
 // (fed_work_* counters in the metrics document; derived:work_* rules +
 // drift alerts when the watchdog is also armed). --chrome-trace-out
 // arms the wall-clock channel and writes a chrome://tracing JSON of the
-// run (one track per shard plus the federation barrier track) — load it
-// at chrome://tracing or ui.perfetto.dev. The wall channel never
-// touches the deterministic documents (docs/observability.md).
+// run (one track per shard plus the federation track, whose `epoch`
+// spans carry each epoch's wall time) — load it at chrome://tracing or
+// ui.perfetto.dev. The wall channel never touches the deterministic
+// documents (docs/observability.md).
 //
 // --faults runs every shard behind pm::net proxy nodes on a lossy wire
 // (drop/duplicate probabilities, stale-redelivery window) with the epoch
@@ -64,7 +62,7 @@ int Usage() {
                "[--quiet] [--faults drop=P,dup=P,delay=N] "
                "[--metrics-out FILE] [--trace-out FILE] "
                "[--prom-out FILE] [--alerts-out FILE] [--console] "
-               "[--timings] [--profile] [--chrome-trace-out FILE]\n"
+               "[--profile] [--chrome-trace-out FILE]\n"
                "       example_scenario_runner --list\n";
   return 2;
 }
@@ -123,7 +121,6 @@ int main(int argc, char** argv) {
   pm::scenario::RunnerConfig config;
   pm::net::FaultConfig faults;
   bool quiet = false;
-  bool timings = false;
   bool console = false;
   bool profile = false;
 
@@ -184,8 +181,6 @@ int main(int argc, char** argv) {
       chrome_trace_out = v;
     } else if (arg == "--console") {
       console = true;
-    } else if (arg == "--timings") {
-      timings = true;
     } else if (arg == "--profile") {
       profile = true;
     } else if (arg == "--quiet") {
@@ -209,13 +204,9 @@ int main(int argc, char** argv) {
   const bool want_watchdog = !alerts_out.empty() || console;
   const bool want_telemetry = !metrics_out.empty() ||
                               !trace_out.empty() || !prom_out.empty() ||
-                              timings || want_watchdog || profile ||
+                              want_watchdog || profile ||
                               !chrome_trace_out.empty();
-  if (want_telemetry) {
-    spec.federation.telemetry.enabled = true;
-    spec.federation.telemetry.wall_clock_timings =
-        spec.federation.telemetry.wall_clock_timings || timings;
-  }
+  if (want_telemetry) spec.federation.telemetry.enabled = true;
   if (want_watchdog) {
     spec.federation.telemetry.watchdog.recording_rules = true;
     spec.federation.telemetry.watchdog.alerts = true;
@@ -265,7 +256,7 @@ int main(int argc, char** argv) {
         runner.exchange().telemetry();
     PM_CHECK(telemetry != nullptr);
     if (!metrics_out.empty()) {
-      WriteFileOrExit(metrics_out, telemetry->MetricsJson(timings), quiet);
+      WriteFileOrExit(metrics_out, telemetry->MetricsJson(), quiet);
     }
     if (!trace_out.empty()) {
       WriteFileOrExit(trace_out, telemetry->TraceJson(), quiet);

@@ -157,7 +157,7 @@ struct ClockAuctionResult {
   long long full_collections = 0;
   long long incremental_collections = 0;
 
-  /// Profiler work counters (deterministic): kernel dot-block calls
+  /// Profiler work counters (deterministic): DotBlock calls
   /// issued by full sweeps, and bidders re-evaluated incrementally.
   /// Zero on the wire path, like the collection counters above.
   long long dot_blocks = 0;
@@ -177,8 +177,8 @@ class ClockAuction {
  public:
   /// `supply` and `reserve_prices` are dense per-pool vectors of equal
   /// size R; every bid must reference pools < R and pass ValidateBids.
-  /// `engine_config` selects the demand engine's dot kernel (kernels.h);
-  /// the default scalar kernel is bit-exact to the historical engine.
+  /// `engine_config` has no fields (see DemandEngineConfig); it is
+  /// accepted so existing callers keep compiling.
   ClockAuction(std::vector<bid::Bid> bids, std::vector<double> supply,
                std::vector<double> reserve_prices,
                DemandEngineConfig engine_config = {});
@@ -202,8 +202,7 @@ class ClockAuction {
   /// initializer list so `engine_` can be a value member.
   static DemandEngine BuildEngine(const std::vector<bid::Bid>& bids,
                                   const std::vector<double>& supply,
-                                  const std::vector<double>& reserve,
-                                  DemandEngineConfig engine_config);
+                                  const std::vector<double>& reserve);
 
   std::vector<bid::Bid> bids_;
   std::vector<double> supply_;

@@ -3,17 +3,14 @@
 #include <algorithm>
 #include <numeric>
 
+#include "auction/kernels.h"
 #include "common/check.h"
-#include "common/types.h"
 
 namespace pm::auction {
 
 DemandEngine::DemandEngine(std::span<const bid::Bid> bids,
-                           std::vector<double> supply,
-                           DemandEngineConfig config)
-    : supply_(std::move(supply)),
-      kernel_(ResolveKernelChoice(config.kernel)),
-      dot_block_(ResolveKernel(kernel_)) {
+                           std::vector<double> supply)
+    : supply_(std::move(supply)) {
   std::vector<std::uint32_t> all(bids.size());
   std::iota(all.begin(), all.end(), 0u);
   Compile(bids, all);
@@ -21,12 +18,21 @@ DemandEngine::DemandEngine(std::span<const bid::Bid> bids,
 
 DemandEngine::DemandEngine(std::span<const bid::Bid> bids,
                            std::span<const std::uint32_t> users,
-                           std::vector<double> supply,
-                           DemandEngineConfig config)
-    : supply_(std::move(supply)),
-      kernel_(ResolveKernelChoice(config.kernel)),
-      dot_block_(ResolveKernel(kernel_)) {
+                           std::vector<double> supply)
+    : supply_(std::move(supply)) {
   Compile(bids, users);
+}
+
+void DemandEngine::DotBlock(const std::uint32_t* item_begin,
+                            const PoolId* item_pool, const double* item_qty,
+                            const double* price, std::uint32_t b0,
+                            std::uint32_t b1, double* cost_out) {
+  for (std::uint32_t b = b0; b < b1; ++b) {
+    const std::uint32_t e0 = item_begin[b];
+    cost_out[b] = DotAscending(
+        item_begin[b + 1] - e0, [&](std::size_t e) { return item_pool[e0 + e]; },
+        [&](std::size_t e) { return item_qty[e0 + e]; }, price);
+  }
 }
 
 void DemandEngine::Compile(std::span<const bid::Bid> bids,
@@ -253,14 +259,12 @@ void DemandEngine::FullCollect(std::span<const double> prices,
     const std::size_t u0 = blk * kExcessBlockBidders;
     const std::size_t u1 =
         std::min(num_users, (blk + 1) * kExcessBlockBidders);
-    // One kernel call per bidder block: all the block's bundle costs in a
-    // cache-resident burst (≤ a few thousand doubles), then the argmin +
-    // excess fold re-reads them while hot. The scalar kernel accumulates
-    // in Bundle::Dot's exact ascending-pool order, so costs — and
-    // therefore decisions — stay bit-identical to the BidderProxy oracle;
-    // the SIMD kernels match decisions and bound cost drift (kernels.h).
-    dot_block_(item_begin_.data(), item_pool_.data(), item_qty_.data(),
-               price, bundle_begin_[u0], bundle_begin_[u1], cost_out);
+    // One DotBlock call per bidder block: all the block's bundle costs in
+    // a cache-resident burst (≤ a few thousand doubles), then the argmin +
+    // excess fold re-reads them while hot. The costs are the oracle's
+    // bits, so decisions match the BidderProxy oracle exactly.
+    DotBlock(item_begin_.data(), item_pool_.data(), item_qty_.data(), price,
+             bundle_begin_[u0], bundle_begin_[u1], cost_out);
     for (std::size_t u = u0; u < u1; ++u) {
       const ProxyDecision d =
           EvaluateFromCosts(static_cast<std::uint32_t>(u), cost_out);

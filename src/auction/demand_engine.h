@@ -48,25 +48,29 @@
 // kPriceEps; decisions are compared with kPriceEps tolerance, so auction
 // outcomes are unaffected (asserted by the randomized equivalence tests).
 //
-// The full-sweep dot product dispatches through a kernel (kernels.h):
-// the default scalar kernel IS the oracle arithmetic above; the unrolled
-// and SIMD kernels trade bit-exact costs for throughput under the relaxed
-// equivalence tier (identical decisions, costs within
-// PairwiseErrorBound, per-kernel bit-determinism across reruns, thread
-// counts and shards — tests/kernels_test.cpp).
+// The full-sweep dot product is DotBlock, a straight loop over the
+// oracle arithmetic in kernels.h: the arena sweep, Bundle::Dot and the
+// BidderProxy oracle compute every bundle cost with the same op sequence.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "auction/kernels.h"
 #include "auction/proxy.h"
 #include "bid/bid.h"
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "common/types.h"
 
 namespace pm::auction {
+
+/// Demand-engine construction knobs. It has no fields: the engine has a
+/// single dot kernel. The struct stays because it is part of the public
+/// construction path — MarketConfig::demand_engine and ClockAuction's
+/// fourth constructor parameter — which existing callers (the
+/// planetbench benchmark among them) still spell out.
+struct DemandEngineConfig {};
 
 /// Compiled demand oracle for a fixed bid set. Immutable after
 /// construction; all mutable query state lives in a Workspace, so one
@@ -129,7 +133,7 @@ class DemandEngine {
     }
 
     /// Logical work units for the profiler's deterministic channel:
-    /// kernel dot-block calls issued by full sweeps (one per
+    /// DotBlock calls issued by full sweeps (one per
     /// kExcessBlockBidders block — counted outside the parallel region,
     /// so thread-count independent) and bidders re-evaluated by
     /// incremental collections.
@@ -161,20 +165,24 @@ class DemandEngine {
 
   /// Compiles the whole bid set. `supply` is the dense per-pool operator
   /// supply (excess = demand − supply); bids must already be validated.
-  /// `config` picks the dot kernel (kernels.h); the default scalar kernel
-  /// reproduces the historical engine byte for byte.
-  DemandEngine(std::span<const bid::Bid> bids, std::vector<double> supply,
-               DemandEngineConfig config = {});
+  DemandEngine(std::span<const bid::Bid> bids, std::vector<double> supply);
 
   /// Compiles the shard bids[users[i]]; workspace decisions are indexed by
   /// shard slot i (the caller maps slots back to user ids). Used by the
   /// distributed proxy nodes.
   DemandEngine(std::span<const bid::Bid> bids,
                std::span<const std::uint32_t> users,
-               std::vector<double> supply, DemandEngineConfig config = {});
+               std::vector<double> supply);
 
-  /// The concrete kernel this engine dispatches (kAuto already resolved).
-  Kernel kernel() const { return kernel_; }
+  /// The full-sweep block dot: for every bundle b in [b0, b1) of a CSR
+  /// arena (items of bundle b are item_pool/item_qty[item_begin[b] ..
+  /// item_begin[b+1])), writes q_b·p into cost_out[b] and touches no
+  /// other entry. Each cost is DotAscending's ascending-pool chain, so it
+  /// is bit-identical to Bundle::Dot.
+  static void DotBlock(const std::uint32_t* item_begin,
+                       const PoolId* item_pool, const double* item_qty,
+                       const double* price, std::uint32_t b0,
+                       std::uint32_t b1, double* cost_out);
 
   /// Evaluates all demands at `prices` into `ws`. When the workspace holds
   /// a valid cache this is incremental: only bidders touching a moved pool
@@ -237,19 +245,11 @@ class DemandEngine {
 
   std::vector<double> supply_;
 
-  /// Resolved kernel choice and its block dot function (kernels.h). The
-  /// scalar kernel is the bit-exact oracle; the vectorized kernels match
-  /// decisions exactly and costs within PairwiseErrorBound.
-  Kernel kernel_ = Kernel::kScalar;
-  DotBlockFn dot_block_ = nullptr;
-
-  // CSR arena (structure-of-arrays). The item component arrays are
-  // 32-byte aligned so the vectorized kernels' loads start on register
-  // boundaries (kernels.h).
+  // CSR arena (structure-of-arrays).
   std::vector<std::uint32_t> bundle_begin_;  // size U+1.
-  AlignedVector<std::uint32_t> item_begin_;  // size B+1.
-  AlignedVector<PoolId> item_pool_;          // size NNZ, ascending per b.
-  AlignedVector<double> item_qty_;           // size NNZ.
+  std::vector<std::uint32_t> item_begin_;    // size B+1.
+  std::vector<PoolId> item_pool_;            // size NNZ, ascending per b.
+  std::vector<double> item_qty_;             // size NNZ.
   std::vector<double> bundle_limit_;         // size B.
   std::vector<std::uint8_t> vector_pi_;      // size U.
 

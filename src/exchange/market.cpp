@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "auction/kernels.h"
 #include "auction/system_check.h"
 #include "common/check.h"
 #include "common/phase_span.h"
@@ -316,7 +315,6 @@ AuctionReport Market::RunAuction() {
   report.incremental_collections = result.incremental_collections;
   report.dot_blocks = result.dot_blocks;
   report.dirty_bidders = result.dirty_bidders;
-  report.kernel = auction::ToString(auction.engine().kernel());
   report.phases = std::move(result.phases);
   report.settled_prices = result.prices;
 

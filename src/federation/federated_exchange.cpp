@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <exception>
@@ -355,11 +354,6 @@ bool FederatedExchange::CanPipeline() const {
     return false;
   }
   if (!pending_.empty()) return false;
-  // Wall-clock epoch timing brackets the whole serial epoch; there is no
-  // faithful equivalent once collections overlap barriers.
-  if (telemetry_ != nullptr && config_.telemetry.wall_clock_timings) {
-    return false;
-  }
   for (const char f : inject_fail_) {
     if (f != 0) return false;
   }
@@ -505,7 +499,7 @@ void FederatedExchange::RunEpochsPipelined(const int n) {
     report.health = HealthBlock{};
     report.clearing_spread =
         ComputeClearingSpread(report, registries, capacities);
-    CloseEpochTelemetry(e, report, /*time_epoch=*/false, {});
+    CloseEpochTelemetry(e, report);
     history_.push_back(std::move(report));
     barrier_span.Stop();
 
@@ -629,11 +623,7 @@ void FederatedExchange::IngestShardTelemetry(
       // The profiler's deterministic work-accounting channel: logical
       // cost counters for this shard-epoch, plus the per-(epoch, shard)
       // work tree the flight recorder attaches to containment dumps.
-      // Dot-blocks carry the resolved kernel tier on the phase label so
-      // a de-vectorization shows up as a series switch.
-      telemetry::Labels by_tier = by_shard;
-      by_tier.phase = r.kernel;
-      reg.AddCounter("fed_work_dot_blocks", by_tier,
+      reg.AddCounter("fed_work_dot_blocks", by_shard,
                      static_cast<double>(r.dot_blocks));
       reg.AddCounter("fed_work_dirty_bidders", by_shard,
                      static_cast<double>(r.dirty_bidders));
@@ -652,7 +642,6 @@ void FederatedExchange::IngestShardTelemetry(
       work.wire_retries = r.wire_frames_retried;
       work.wire_dedups = r.wire_frames_deduped;
       work.refund_ops = static_cast<long long>(r.refund_ops);
-      work.kernel = r.kernel;
       telemetry_->profiler()->RecordWork(epoch, k, std::move(work));
     }
     if (config_.telemetry.profiler.wall_clock) {
@@ -742,9 +731,8 @@ void FederatedExchange::IngestShardTelemetry(
   }
 }
 
-void FederatedExchange::CloseEpochTelemetry(
-    const int epoch, FederationReport& report, const bool time_epoch,
-    const std::chrono::steady_clock::time_point wall_start) {
+void FederatedExchange::CloseEpochTelemetry(const int epoch,
+                                            FederationReport& report) {
   if (telemetry_ == nullptr) return;
   telemetry::MetricsRegistry& reg = telemetry_->registry();
   const telemetry::Labels planet;
@@ -782,25 +770,22 @@ void FederatedExchange::CloseEpochTelemetry(
     }
   }
   reg.SnapshotEpoch(epoch);
-  if (time_epoch) {
-    reg.RecordTiming(
-        "epoch_wall_seconds",
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count());
-  }
 }
 
 FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
   const bool supervised = config_.supervisor.enabled;
 
-  // Wall-clock epoch timing is the one telemetry signal that cannot be
-  // deterministic; it flows into the registry's separate timing block,
-  // which only renders on an explicit MetricsJson(include_timings=true).
-  const bool time_epoch =
-      telemetry_ != nullptr && config_.telemetry.wall_clock_timings;
-  std::chrono::steady_clock::time_point wall_start{};
-  if (time_epoch) wall_start = std::chrono::steady_clock::now();
+  // Profiler wall channel: federation-track spans (epoch, route,
+  // barrier) are recorded here on the single epoch thread. Null when
+  // unarmed. The epoch span brackets the whole serial epoch — the one
+  // per-epoch wall time the system records.
+  telemetry::PhaseProfiler* prof =
+      telemetry_ != nullptr && config_.telemetry.profiler.wall_clock
+          ? telemetry_->profiler()
+          : nullptr;
+  const std::size_t fed_track =
+      prof == nullptr ? 0 : prof->federation_track();
+  telemetry::ScopedSpan epoch_span(prof, fed_track, epoch, "epoch");
 
   // S0. Epoch-start health transitions and checkpoints. Quarantined
   // shards drain their backoff and sit the epoch out; one that has
@@ -911,14 +896,6 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
   // epoch's pass over the healthy shards.
   RoutingResult routing;
   std::vector<FederatedBid> epoch_bids;
-  // Profiler wall channel: federation-track spans (route, barrier) are
-  // recorded here on the single epoch thread. Null when unarmed.
-  telemetry::PhaseProfiler* prof =
-      telemetry_ != nullptr && config_.telemetry.profiler.wall_clock
-          ? telemetry_->profiler()
-          : nullptr;
-  const std::size_t fed_track =
-      prof == nullptr ? 0 : prof->federation_track();
   // Trace id per routing input (index-aligned with routing.decisions) —
   // captured before pending_ is cleared so the post-auction telemetry
   // passes can join shard outcomes back to bid lifecycles.
@@ -1348,11 +1325,11 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
     }
   }
 
-  // T2. Close the epoch's telemetry: planet-wide gauges, the logical
-  // epoch snapshot, and — outside the deterministic channel — the
-  // wall-clock timing (see CloseEpochTelemetry).
-  CloseEpochTelemetry(epoch, report, time_epoch, wall_start);
+  // T2. Close the epoch's telemetry: planet-wide gauges, the watchdog
+  // pass and the logical epoch snapshot (see CloseEpochTelemetry).
+  CloseEpochTelemetry(epoch, report);
   barrier_span.Stop();
+  epoch_span.Stop();
 
   history_.push_back(std::move(report));
   return history_.back();

@@ -25,7 +25,6 @@
 // changes where the demand evaluation work runs, not the mechanism.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -285,11 +284,9 @@ class FederatedExchange {
                             const RoutingResult& routing,
                             const std::vector<std::uint64_t>& epoch_traces);
 
-  /// The T2 barrier block: planet gauges, watchdog pass, epoch snapshot,
-  /// optional wall-clock timing. Shared like IngestShardTelemetry.
-  void CloseEpochTelemetry(
-      int epoch, FederationReport& report, bool time_epoch,
-      std::chrono::steady_clock::time_point wall_start);
+  /// The T2 barrier block: planet gauges, watchdog pass, epoch snapshot.
+  /// Shared like IngestShardTelemetry.
+  void CloseEpochTelemetry(int epoch, FederationReport& report);
 
   /// Reconciles every (team, shard) float back onto the planet ledger —
   /// the exception-unwind path for the unsupervised federation: without

@@ -6,20 +6,19 @@
 // channels:
 //
 //   * Work accounting (deterministic). Logical cost counters measured
-//     on the hot paths — kernel dot-blocks per Kernel tier, bisection
-//     probes, full vs incremental engine collections, dirty-bidder
-//     counts, wire retries/dedups, settlement refund ops — recorded
-//     per (epoch, shard) here and mirrored into the MetricsRegistry as
-//     `fed_work_*` counters at the epoch barrier. Logical units only:
-//     the numbers are byte-identical across reruns, thread counts, and
-//     serial vs pipelined epochs, which makes their drift a
-//     host-noise-immune proxy for perf regressions (an
-//     incremental-fallback storm or kernel de-vectorization fires
+//     on the hot paths — demand-engine dot-blocks, bisection probes,
+//     full vs incremental engine collections, dirty-bidder counts,
+//     wire retries/dedups, settlement refund ops — recorded per (epoch,
+//     shard) here and mirrored into the MetricsRegistry as `fed_work_*`
+//     counters at the epoch barrier. Logical units only: the numbers
+//     are byte-identical across reruns, thread counts, and serial vs
+//     pipelined epochs, which makes their drift a host-noise-immune
+//     proxy for perf regressions (an incremental-fallback storm fires
 //     deterministically even on a noisy single-vCPU host).
 //
 //   * Wall clock. Real phase spans (collect → bisect → settle on each
-//     shard track; route → barrier plus pipeline-window spans on the
-//     federation track), exported as chrome://tracing JSON for
+//     shard track; epoch, route → barrier plus pipeline-window spans on
+//     the federation track), exported as chrome://tracing JSON for
 //     flamegraph-style inspection. Wall values are scheduling-dependent
 //     by nature — pipeline-window occupancy/bubble numbers live ONLY
 //     here, never in the deterministic channel.
@@ -51,18 +50,19 @@ struct ProfilerConfig {
   /// also armed), and the flight recorder's phase work tree.
   bool work_accounting = false;
 
-  /// Wall-clock channel: phase spans and chrome://tracing export. Never
-  /// touches the deterministic outputs; unlike
-  /// TelemetryConfig::wall_clock_timings it does NOT make pipelined
-  /// configs fall back to the serial loop — spans are carried on
-  /// AuctionReport and recorded at the barrier either way.
+  /// Wall-clock channel: phase spans (per-epoch wall time included, as
+  /// the serial loop's `epoch` span) and chrome://tracing export. The
+  /// system's only wall-clock channel. Never touches the deterministic
+  /// outputs and does not make pipelined configs fall back to the serial
+  /// loop — spans are carried on AuctionReport and recorded at the
+  /// barrier either way.
   bool wall_clock = false;
 };
 
 /// One epoch's logical work, for one shard. Copied from AuctionReport at
 /// the epoch barrier; every field is deterministic.
 struct WorkCounters {
-  long long dot_blocks = 0;       // kernel dot-block calls (full sweeps)
+  long long dot_blocks = 0;       // DotBlock calls (full sweeps)
   long long dirty_bidders = 0;    // bidders re-evaluated incrementally
   long long bisection_probes = 0;
   long long full_collections = 0;
@@ -70,7 +70,6 @@ struct WorkCounters {
   long long wire_retries = 0;     // lossy-wire frames retried
   long long wire_dedups = 0;      // frames the receiver discarded
   long long refund_ops = 0;       // settlement refund payouts
-  std::string kernel;             // resolved dot-kernel tier
 };
 
 class PhaseProfiler {

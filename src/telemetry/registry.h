@@ -20,11 +20,9 @@
 //     daemon's scrape endpoint. Same deterministic values; cumulative
 //     `_bucket`/`_sum`/`_count` histogram rendering.
 //
-// Wall-clock timings (RecordTiming) are collected into a separate block
-// that ONLY renders when ToJson(/*include_timings=*/true) is explicitly
-// requested — the timing block is gated off the deterministic channel by
-// construction, so no caller can leak host time into a byte-equality
-// contract by accident.
+// The registry holds no wall-clock data at all: host time lives only in
+// the phase profiler's wall channel (profiler.h), so no caller can leak
+// it into a byte-equality contract by accident.
 //
 // Thread-safety: none, by design. The federation instruments at epoch
 // barriers (single-threaded sections); concurrent shard epochs never
@@ -87,10 +85,6 @@ class MetricsRegistry {
   /// (or a RenderKey result with a `derived:` prefix).
   void SetGaugeByKey(std::string key, double value);
 
-  /// Wall-clock timing accumulation (seconds). Lives outside the
-  /// deterministic channel; see the header comment.
-  void RecordTiming(std::string_view name, double seconds);
-
   /// Captures the current counter and gauge values as epoch `epoch`'s
   /// snapshot — the logical-clock series of the JSON document.
   void SnapshotEpoch(int epoch);
@@ -126,9 +120,8 @@ class MetricsRegistry {
 
   // ------------------------------------------------------------- exports --
   /// Deterministic JSON document (counters, gauges, histograms with
-  /// p50/p90/p99 + cross-label merges, the epoch snapshot series). The
-  /// timing block renders only when explicitly requested.
-  std::string ToJson(bool include_timings = false) const;
+  /// p50/p90/p99 + cross-label merges, the epoch snapshot series).
+  std::string ToJson() const;
 
   /// Prometheus-style text exposition (`# TYPE` lines, label sets,
   /// cumulative histogram buckets). Deterministic values; intended for
@@ -140,16 +133,10 @@ class MetricsRegistry {
     stats::Histogram hist;
     std::string name;  // Bare metric name (for cross-label merging).
   };
-  struct Timing {
-    long long count = 0;
-    double total_seconds = 0.0;
-    double max_seconds = 0.0;
-  };
 
   std::map<std::string, double> counters_;    // key → value
   std::map<std::string, double> gauges_;      // key → value
   std::map<std::string, HistEntry> hists_;    // key → histogram
-  std::map<std::string, Timing> timings_;     // name → wall-clock block
   std::vector<EpochSnapshot> epochs_;
 };
 

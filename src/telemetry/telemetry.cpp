@@ -89,8 +89,8 @@ void Telemetry::MirrorSpan(const Span& span) {
                    std::move(event));
 }
 
-std::string Telemetry::MetricsJson(bool include_timings) const {
-  return registry_.ToJson(include_timings);
+std::string Telemetry::MetricsJson() const {
+  return registry_.ToJson();
 }
 
 std::string Telemetry::PrometheusText() const {

@@ -1,8 +1,9 @@
 // Tests for pm::auction::DemandEngine: randomized equivalence against the
 // BidderProxy oracle (decisions and excess bit-for-bit on the full path),
 // incremental-re-evaluation consistency, sharded-engine consistency (the
-// distributed proxy-node path), thread-count determinism, and the
-// deterministic tie-breaking contract.
+// distributed proxy-node path), thread-count determinism, the
+// deterministic tie-breaking contract, and the full-sweep block dot
+// (DemandEngine::DotBlock) against the DotAscending oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 
 #include "auction/clock_auction.h"
 #include "auction/demand_engine.h"
+#include "auction/kernels.h"
 #include "auction/proxy.h"
 #include "bid/bid.h"
 #include "common/check.h"
@@ -483,6 +485,81 @@ TEST(DemandEngineTest, WorkspaceRejectsForeignEngine) {
   DemandEngine::Workspace ws;
   ea.CollectDemand(a.reserve, nullptr, ws);
   EXPECT_THROW(eb.CollectDemand(b.reserve, nullptr, ws), CheckFailure);
+}
+
+// ----------------------------------------------------------- DotBlock --
+
+/// A randomized CSR arena with deliberately ragged bundle sizes: empty
+/// bundles, singletons, and odd tails.
+struct Arena {
+  std::vector<std::uint32_t> begin;
+  std::vector<PoolId> pool;
+  std::vector<double> qty;
+  std::vector<double> price;
+
+  std::uint32_t bundles() const {
+    return static_cast<std::uint32_t>(begin.size() - 1);
+  }
+};
+
+Arena MakeArena(std::uint64_t seed, std::uint32_t bundles, int pools) {
+  RandomStream rng(seed);
+  Arena a;
+  a.begin.push_back(0);
+  for (std::uint32_t b = 0; b < bundles; ++b) {
+    const int n = static_cast<int>(rng.UniformInt(0, 21));
+    for (int e = 0; e < n; ++e) {
+      a.pool.push_back(static_cast<PoolId>(rng.UniformInt(0, pools - 1)));
+      // Mixed signs: seller bundles have negative quantities.
+      a.qty.push_back(rng.Uniform(0.5, 6.0) *
+                      (rng.Bernoulli(0.25) ? -1.0 : 1.0));
+    }
+    a.begin.push_back(static_cast<std::uint32_t>(a.pool.size()));
+  }
+  for (int r = 0; r < pools; ++r) {
+    a.price.push_back(rng.Uniform(0.0, 9.0));
+  }
+  return a;
+}
+
+void DotBlockOver(const Arena& a, std::uint32_t b0, std::uint32_t b1,
+                  std::vector<double>& cost) {
+  DemandEngine::DotBlock(a.begin.data(), a.pool.data(), a.qty.data(),
+                         a.price.data(), b0, b1, cost.data());
+}
+
+TEST(KernelNumerics, DotBlockBitExactAgainstDotAscending) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const Arena a = MakeArena(seed, /*bundles=*/64, /*pools=*/17);
+    std::vector<double> cost(a.bundles(), -1.0);
+    DotBlockOver(a, 0, a.bundles(), cost);
+    for (std::uint32_t b = 0; b < a.bundles(); ++b) {
+      const std::uint32_t e0 = a.begin[b];
+      const double oracle = DotAscending(
+          a.begin[b + 1] - e0, [&](std::size_t e) { return a.pool[e0 + e]; },
+          [&](std::size_t e) { return a.qty[e0 + e]; }, a.price.data());
+      ASSERT_EQ(cost[b], oracle) << "seed " << seed << " bundle " << b;
+    }
+  }
+}
+
+TEST(KernelNumerics, EmptyAndPartialBlocksAreSafe) {
+  const Arena a = MakeArena(99, /*bundles=*/16, /*pools=*/5);
+  std::vector<double> cost(a.bundles(), -7.0);
+  // Empty range: must not touch cost_out.
+  DotBlockOver(a, 3, 3, cost);
+  for (const double c : cost) EXPECT_EQ(c, -7.0);
+  // Interior sub-range: only [2, 5) written.
+  DotBlockOver(a, 2, 5, cost);
+  std::vector<double> full(a.bundles(), 0.0);
+  DotBlockOver(a, 0, a.bundles(), full);
+  for (std::uint32_t b = 0; b < a.bundles(); ++b) {
+    if (b < 2 || b >= 5) {
+      EXPECT_EQ(cost[b], -7.0) << b;
+    } else {
+      EXPECT_EQ(cost[b], full[b]) << b;
+    }
+  }
 }
 
 }  // namespace

@@ -91,17 +91,6 @@ TEST(MetricsRegistryTest, HistogramShapeIsPerName) {
   EXPECT_EQ(reg.FindHistogram("lat", Labels{"b", "", ""})->Overflow(), 1u);
 }
 
-TEST(MetricsRegistryTest, TimingBlockIsOptIn) {
-  MetricsRegistry reg;
-  reg.AddCounter("n", Labels{}, 1.0);
-  reg.RecordTiming("epoch_wall_seconds", 0.125);
-  EXPECT_EQ(reg.ToJson().find("timings"), std::string::npos);
-  EXPECT_NE(reg.ToJson(/*include_timings=*/true).find("timings"),
-            std::string::npos);
-  EXPECT_NE(reg.ToJson(true).find("epoch_wall_seconds"),
-            std::string::npos);
-}
-
 TEST(MetricsRegistryTest, PrometheusExpositionShape) {
   MetricsRegistry reg;
   reg.AddCounter("fed_rounds", Labels{"s0", "", ""}, 3.0);
