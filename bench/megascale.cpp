@@ -1,20 +1,19 @@
 // Megascale federation benchmark (ROADMAP: "1M bidders,
 // 100+ shards, as fast as the hardware allows").
 //
-// Three sections, written to BENCH_megascale.json:
-//   1. pipeline — epoch wall time with FederationConfig::pipelined off
-//      vs on, plus the byte-identity gates: pipelined=off must match a
-//      plain RunEpoch loop (the pre-pipeline path) and pipelined=on must
-//      match pipelined=off, both compared on the telemetry registry's
-//      deterministic metrics JSON.
-//   2. thread_scaling — epoch wall time across shard-pool sizes, with
-//      the metrics JSON asserted byte-identical across thread counts.
-//      Stamped invalid_on_single_vcpu (bench_meta.h).
-//   3. megascale_epoch — the headline run: B bidders split over S shards
+// Two sections, written to BENCH_megascale.json:
+//   1. thread_scaling — epoch wall time of the RunEpochs loop across
+//      shard-pool sizes at a fixed gate config, with the telemetry
+//      registry's deterministic metrics JSON asserted byte-identical
+//      across thread counts. Stamped invalid_on_single_vcpu
+//      (bench_meta.h).
+//   2. megascale_epoch — the headline run: B bidders split over S shards
 //      (defaults 1,000,000 x 100) clear one epoch; every shard must
 //      converge, every award must conserve units (awarded = placed +
-//      refunded under refund_unplaced), and a rerun must reproduce the
-//      metrics JSON byte for byte.
+//      refunded under refund_unplaced), and a rerun at another pool
+//      size must reproduce the metrics JSON byte for byte. The first
+//      federation is freed before the rerun builds the second, so peak
+//      memory is one federation.
 //
 // Usage:
 //   bench_megascale [--smoke] [--threads N]
@@ -26,12 +25,12 @@
 // megascale epoch failed convergence/conservation. The full run applies
 // the same gates (a broken artifact should not look healthy).
 //
-// --chrome-trace-out arms the profiler's wall-clock channel on the
-// pipelined federation of section 1 and writes its chrome://tracing
-// JSON (one track per shard plus the federation track with the
-// pipeline-window wait/barrier spans). The wall channel never touches
-// the deterministic metrics documents, so the byte-identity gates run
-// unchanged with it armed — which is itself part of the contract.
+// --chrome-trace-out arms the profiler's wall-clock channel on the last
+// thread-scaling run and writes its chrome://tracing JSON (one track per
+// shard plus the federation track with the epoch/route/barrier spans).
+// The wall channel never touches the deterministic metrics documents,
+// so the cross-thread byte-identity gate runs unchanged with it armed —
+// which is itself part of the contract.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -59,7 +58,7 @@ double MillisSince(Clock::time_point start) {
 
 pm::federation::FederatedExchange BuildFederation(
     std::size_t shards, int bidders_per_shard, std::size_t num_threads,
-    bool pipelined, bool wall_profiler = false) {
+    bool wall_profiler = false) {
   std::vector<pm::federation::ShardSpec> specs;
   for (std::size_t k = 0; k < shards; ++k) {
     pm::federation::ShardSpec spec;
@@ -79,10 +78,9 @@ pm::federation::FederatedExchange BuildFederation(
   pm::federation::FederationConfig config;
   config.seed = 20090425;
   config.num_threads = num_threads;
-  config.pipelined = pipelined;
   config.telemetry.enabled = true;
   // Wall channel only: spans + chrome trace, never the deterministic
-  // metrics document (the byte-identity gates below prove it).
+  // metrics document (the cross-thread byte-identity gate proves it).
   config.telemetry.profiler.wall_clock = wall_profiler;
   return pm::federation::FederatedExchange(std::move(specs), config);
 }
@@ -131,76 +129,13 @@ int main(int argc, char** argv) {
       threads_flag > 0 ? threads_flag : std::min<std::size_t>(shards, 8);
   int exit_code = 0;
 
-  // 1. Pipeline gates + timing. The three federations are built
-  //    identically; only the epoch driver differs.
+  // 1. Thread scaling of the epoch loop, metrics asserted byte-identical
+  //    across thread counts.
   const std::size_t gate_shards = smoke ? 4 : std::min<std::size_t>(shards, 16);
   const int gate_bidders = smoke ? 100 : std::min(per_shard, 500);
   const int gate_epochs = smoke ? 2 : std::max(epochs, 3);
-  std::printf("pipeline gates: %zu shards x %d bidders, %d epochs...\n",
+  std::printf("thread scaling: %zu shards x %d bidders, %d epochs...\n",
               gate_shards, gate_bidders, gate_epochs);
-  double serial_ms = 0.0, pipelined_ms = 0.0;
-  std::string metrics_loop, metrics_off, metrics_on;
-  {
-    pm::federation::FederatedExchange fed = BuildFederation(
-        gate_shards, gate_bidders, pool_threads, false);
-    for (int e = 0; e < gate_epochs; ++e) fed.RunEpoch();
-    metrics_loop = MetricsOf(fed);
-  }
-  {
-    pm::federation::FederatedExchange fed = BuildFederation(
-        gate_shards, gate_bidders, pool_threads, false);
-    const auto t0 = Clock::now();
-    fed.RunEpochs(gate_epochs);
-    serial_ms = MillisSince(t0) / gate_epochs;
-    metrics_off = MetricsOf(fed);
-  }
-  {
-    // The chrome trace rides the byte-identity gate run on purpose: if
-    // the wall channel perturbed deterministic exports, on_matches_off
-    // below would catch it.
-    pm::federation::FederatedExchange fed = BuildFederation(
-        gate_shards, gate_bidders, pool_threads, true,
-        /*wall_profiler=*/!chrome_trace_out.empty());
-    const auto t0 = Clock::now();
-    fed.RunEpochs(gate_epochs);
-    pipelined_ms = MillisSince(t0) / gate_epochs;
-    metrics_on = MetricsOf(fed);
-    if (!chrome_trace_out.empty()) {
-      const std::string trace =
-          fed.telemetry()->profiler()->ChromeTraceJson();
-      std::FILE* tf = std::fopen(chrome_trace_out.c_str(), "w");
-      if (tf == nullptr ||
-          std::fwrite(trace.data(), 1, trace.size(), tf) != trace.size()) {
-        std::fprintf(stderr, "cannot write %s\n",
-                     chrome_trace_out.c_str());
-        if (tf != nullptr) std::fclose(tf);
-        return 74;
-      }
-      std::fclose(tf);
-      std::printf("  wrote %s (%zu bytes)\n", chrome_trace_out.c_str(),
-                  trace.size());
-    }
-  }
-  const bool off_matches_loop = metrics_off == metrics_loop;
-  const bool on_matches_off = metrics_on == metrics_off;
-  if (!off_matches_loop) {
-    std::fprintf(stderr,
-                 "FAIL: RunEpochs(pipelined=off) diverged byte-wise from "
-                 "the plain RunEpoch loop\n");
-    exit_code = 2;
-  }
-  if (!on_matches_off) {
-    std::fprintf(stderr,
-                 "FAIL: pipelined=on metrics diverged byte-wise from "
-                 "pipelined=off\n");
-    exit_code = 2;
-  }
-  std::printf("  epoch ms: serial %.1f, pipelined %.1f (%.2fx)\n",
-              serial_ms, pipelined_ms,
-              pipelined_ms > 0.0 ? serial_ms / pipelined_ms : 0.0);
-
-  // 2. Thread scaling of the pipelined epoch loop, metrics asserted
-  //    byte-identical across thread counts.
   std::vector<std::pair<std::size_t, double>> scaling;
   {
     std::vector<std::size_t> counts = {1, 2, 4, 8};
@@ -208,8 +143,12 @@ int main(int argc, char** argv) {
     if (smoke) counts.resize(std::min<std::size_t>(counts.size(), 2));
     std::string metrics_first;
     for (const std::size_t t : counts) {
-      pm::federation::FederatedExchange fed = BuildFederation(
-          gate_shards, gate_bidders, t, true);
+      // The chrome trace rides the last run on purpose: if the wall
+      // channel perturbed deterministic exports, the cross-thread
+      // compare below would catch it.
+      const bool traced = !chrome_trace_out.empty() && t == counts.back();
+      pm::federation::FederatedExchange fed =
+          BuildFederation(gate_shards, gate_bidders, t, traced);
       const auto t0 = Clock::now();
       fed.RunEpochs(gate_epochs);
       scaling.emplace_back(t, MillisSince(t0) / gate_epochs);
@@ -223,13 +162,28 @@ int main(int argc, char** argv) {
                      t);
         exit_code = 2;
       }
+      if (traced) {
+        const std::string trace =
+            fed.telemetry()->profiler()->ChromeTraceJson();
+        std::FILE* tf = std::fopen(chrome_trace_out.c_str(), "w");
+        if (tf == nullptr ||
+            std::fwrite(trace.data(), 1, trace.size(), tf) != trace.size()) {
+          std::fprintf(stderr, "cannot write %s\n",
+                       chrome_trace_out.c_str());
+          if (tf != nullptr) std::fclose(tf);
+          return 74;
+        }
+        std::fclose(tf);
+        std::printf("  wrote %s (%zu bytes)\n", chrome_trace_out.c_str(),
+                    trace.size());
+      }
     }
   }
   for (const auto& [t, ms] : scaling) {
     std::printf("  threads=%zu epoch %.1f ms\n", t, ms);
   }
 
-  // 3. The megascale epoch itself.
+  // 2. The megascale epoch itself.
   std::printf("megascale epoch: %lld bidders over %zu shards "
               "(%d per shard)...\n",
               static_cast<long long>(per_shard) * shards, shards,
@@ -239,9 +193,10 @@ int main(int argc, char** argv) {
   bool mega_conserved = true;
   bool mega_reproducible = true;
   long long mega_rounds = 0;
+  std::string metrics_a;
   {
-    pm::federation::FederatedExchange fed = BuildFederation(
-        shards, per_shard, pool_threads, true);
+    pm::federation::FederatedExchange fed =
+        BuildFederation(shards, per_shard, pool_threads);
     const auto t0 = Clock::now();
     fed.RunEpochs(epochs);
     mega_epoch_ms = MillisSince(t0) / epochs;
@@ -257,10 +212,13 @@ int main(int argc, char** argv) {
         mega_conserved = mega_conserved && gap <= 1e-6;
       }
     }
-    const std::string metrics_a = MetricsOf(fed);
-    // Rerun at a different pool size: byte-identical metrics or bust.
-    pm::federation::FederatedExchange fed2 = BuildFederation(
-        shards, per_shard, pool_threads == 1 ? 2 : 1, true);
+    metrics_a = MetricsOf(fed);
+  }
+  {
+    // Rerun at a different pool size, after the first federation is
+    // gone: byte-identical metrics or bust.
+    pm::federation::FederatedExchange fed2 =
+        BuildFederation(shards, per_shard, pool_threads == 1 ? 2 : 1);
     fed2.RunEpochs(epochs);
     mega_reproducible = MetricsOf(fed2) == metrics_a;
   }
@@ -297,22 +255,9 @@ int main(int argc, char** argv) {
                static_cast<long long>(per_shard) * shards, shards,
                per_shard, epochs, pm::HostMetadataJson().c_str());
   std::fprintf(f,
-               "  \"pipeline\": {\n"
-               "    \"section_meta\": %s,\n"
-               "    \"shards\": %zu,\n"
-               "    \"bidders_per_shard\": %d,\n"
-               "    \"epochs\": %d,\n"
-               "    \"epoch_ms_serial\": %.3f,\n"
-               "    \"epoch_ms_pipelined\": %.3f,\n"
-               "    \"overlap_speedup\": %.3f,\n"
-               "    \"off_matches_pre_pipeline_loop\": %s,\n"
-               "    \"on_matches_off\": %s\n  },\n",
-               pm::SectionHostJson(/*needs_parallelism=*/true).c_str(),
-               gate_shards, gate_bidders, gate_epochs, serial_ms,
-               pipelined_ms,
-               pipelined_ms > 0.0 ? serial_ms / pipelined_ms : 0.0,
-               off_matches_loop ? "true" : "false",
-               on_matches_off ? "true" : "false");
+               "  \"thread_scaling_config\": {\"shards\": %zu, "
+               "\"bidders_per_shard\": %d, \"epochs\": %d},\n",
+               gate_shards, gate_bidders, gate_epochs);
   std::fprintf(f, "  \"thread_scaling_meta\": %s,\n",
                pm::SectionHostJson(/*needs_parallelism=*/true).c_str());
   std::fprintf(f, "  \"thread_scaling\": [\n");

@@ -28,9 +28,9 @@ Three metric classes, three levels of trust:
               work-accounting channel is built on the same property),
               so real drift means the algorithm changed.
   wall        Wall-clock timings. Loose bands, and skipped entirely
-              when either document carries a single-vCPU stamp
-              (`invalid_on_single_vcpu` / `single_vcpu` guard paths) —
-              a 1-vCPU container cannot produce comparable timings.
+              when either document carries a single-vCPU stamp (the
+              spec's `wall_guards` paths, e.g. `metadata.host.single_vcpu`)
+              — a 1-vCPU container cannot produce comparable timings.
 
 Usage:
   bench_gate.py --benchmark NAME --fresh FILE --baseline FILE
@@ -75,13 +75,8 @@ SPECS = {
             "metadata.bidders",
             "metadata.shards",
             "metadata.epochs",
-            "pipeline.shards",
-            "pipeline.bidders_per_shard",
-            "pipeline.epochs",
         ],
         "invariants": [
-            "pipeline.off_matches_pre_pipeline_loop",
-            "pipeline.on_matches_off",
             "megascale_epoch.all_converged",
             "megascale_epoch.conservation_ok",
             "megascale_epoch.metrics_reproducible",
@@ -90,16 +85,8 @@ SPECS = {
         # any drift at all is an algorithm change. The tiny
         # band only absorbs float printing.
         "work": [("megascale_epoch.auction_rounds", 1e-6)],
-        "wall": [
-            ("pipeline.epoch_ms_serial", 0.5),
-            ("pipeline.epoch_ms_pipelined", 0.5),
-            ("megascale_epoch.epoch_ms", 0.5),
-        ],
-        "wall_guards": [
-            "metadata.host.single_vcpu",
-            "pipeline.section_meta.invalid_on_single_vcpu",
-            "pipeline.section_meta.single_vcpu_host",
-        ],
+        "wall": [("megascale_epoch.epoch_ms", 0.5)],
+        "wall_guards": ["metadata.host.single_vcpu"],
     },
     "federated_exchange": {
         "signature": [
@@ -345,7 +332,7 @@ def append_trajectory(path, benchmark, fresh, gate):
 # ------------------------------------------------------------ self-test --
 
 
-def synthetic_megascale(rounds, converged, serial_ms):
+def synthetic_megascale(rounds, converged, epoch_ms):
     return {
         "benchmark": "megascale",
         "metadata": {
@@ -359,18 +346,8 @@ def synthetic_megascale(rounds, converged, serial_ms):
                 "timestamp_utc": "selftest",
             },
         },
-        "pipeline": {
-            "section_meta": {"invalid_on_single_vcpu": False},
-            "shards": 4,
-            "bidders_per_shard": 100,
-            "epochs": 2,
-            "epoch_ms_serial": serial_ms,
-            "epoch_ms_pipelined": serial_ms * 0.8,
-            "off_matches_pre_pipeline_loop": True,
-            "on_matches_off": True,
-        },
         "megascale_epoch": {
-            "epoch_ms": 100.0,
+            "epoch_ms": epoch_ms,
             "auction_rounds": rounds,
             "all_converged": converged,
             "conservation_ok": True,
@@ -381,7 +358,7 @@ def synthetic_megascale(rounds, converged, serial_ms):
 
 def self_test():
     baseline = synthetic_megascale(rounds=1000, converged=True,
-                                   serial_ms=100.0)
+                                   epoch_ms=100.0)
     dropped_invariant = synthetic_megascale(1000, True, 100.0)
     del dropped_invariant["megascale_epoch"]["all_converged"]
     cases = [

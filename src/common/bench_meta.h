@@ -31,9 +31,9 @@ HostMetadata CollectHostMetadata();
 unsigned ParseThreadsFlag(int* argc, char** argv, unsigned fallback);
 
 /// Per-section host stamp for bench sections whose numbers are only
-/// meaningful on real parallel hardware (thread scaling, pipelined
-/// overlap). Unlike the top-level host caveat string, the flag is
-/// explicit and machine-readable:
+/// meaningful on real parallel hardware (thread scaling). Unlike the
+/// top-level host caveat string, the flag is explicit and
+/// machine-readable:
 ///   {"invalid_on_single_vcpu": true, "single_vcpu_host": false,
 ///    "hardware_concurrency": 8}
 /// `invalid_on_single_vcpu` declares the section's requirement;

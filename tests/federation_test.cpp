@@ -5,7 +5,7 @@
 // running that shard's Market standalone with the same bids and seeds,
 // (2) bit-identical across thread counts and across reruns, and (3) per
 // shard bit-identical between the in-process serial path and the pm::net
-// proxy-node path. Plus the router's placement properties: every
+// proxy-node path. RunEpochs(n) is exactly n RunEpoch() calls. Plus the router's placement properties: every
 // non-split bid lands on exactly one shard, and split parts conserve the
 // requested quantity.
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "federation/federated_exchange.h"
 #include "federation/report.h"
 #include "federation/router.h"
+#include "telemetry/telemetry.h"
 
 namespace pm::federation {
 namespace {
@@ -228,6 +229,73 @@ TEST(FederatedExchangeTest, EpochIsBitIdenticalAcrossThreadCounts) {
       ExpectSameReport(runs[0].shards[k].report, runs[i].shards[k].report);
     }
   }
+}
+
+// ------------------------------------------------------------ RunEpochs --
+
+FederationConfig TelemetryOnConfig() {
+  FederationConfig config;
+  config.seed = 20090425;
+  config.num_threads = 2;
+  config.telemetry.enabled = true;
+  return config;
+}
+
+std::string MetricsOf(const FederatedExchange& fed) {
+  return fed.telemetry() != nullptr ? fed.telemetry()->MetricsJson() : "";
+}
+
+/// Every epoch's rendered report, concatenated: any divergence in any
+/// epoch (prices, awards, spread, health) shows up as a string diff.
+std::string RenderedHistory(const FederatedExchange& fed) {
+  std::string out;
+  for (const FederationReport& report : fed.History()) {
+    out += RenderFederationSummary(report);
+    out += '\n';
+  }
+  return out;
+}
+
+TEST(FederatedExchangeTest, RunEpochsMatchesRunEpochLoop) {
+  constexpr int kEpochs = 3;
+  FederatedExchange loop(FourShards(), TelemetryOnConfig());
+  for (int e = 0; e < kEpochs; ++e) loop.RunEpoch();
+
+  FederatedExchange fed(FourShards(), TelemetryOnConfig());
+  fed.RunEpochs(kEpochs);
+  EXPECT_EQ(fed.EpochCount(), kEpochs);
+  EXPECT_EQ(RenderedHistory(fed), RenderedHistory(loop));
+  EXPECT_EQ(MetricsOf(fed), MetricsOf(loop));
+}
+
+TEST(FederatedExchangeTest, RunEpochsZeroIsANoOpAndNegativeThrows) {
+  FederatedExchange fed(FourShards(), TelemetryOnConfig());
+  const std::string metrics_before = MetricsOf(fed);
+  fed.RunEpochs(0);
+  EXPECT_EQ(fed.EpochCount(), 0);
+  EXPECT_EQ(MetricsOf(fed), metrics_before);
+  EXPECT_THROW(fed.RunEpochs(-1), CheckFailure);
+  EXPECT_EQ(fed.EpochCount(), 0);
+  fed.RunEpochs(2);
+  EXPECT_EQ(fed.EpochCount(), 2);
+}
+
+TEST(FederatedExchangeTest, RunEpochsFailureCommitsEarlierEpochsAndRethrows) {
+  // Unsupervised injected failure: the RunEpoch loop commits the epochs
+  // before the failing one and throws. RunEpochs must do exactly that.
+  FederatedExchange loop(FourShards(), TelemetryOnConfig());
+  loop.RunEpoch();
+  loop.InjectShardFailure(1);
+  EXPECT_THROW(loop.RunEpoch(), std::exception);
+  const int committed = loop.EpochCount();
+  EXPECT_EQ(committed, 1);
+
+  FederatedExchange fed(FourShards(), TelemetryOnConfig());
+  fed.RunEpochs(1);
+  fed.InjectShardFailure(1);
+  EXPECT_THROW(fed.RunEpochs(3), std::exception);
+  EXPECT_EQ(fed.EpochCount(), committed);
+  EXPECT_EQ(RenderedHistory(fed), RenderedHistory(loop));
 }
 
 // --------------------------------------------------------- proxy-node path --

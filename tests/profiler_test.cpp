@@ -3,9 +3,9 @@
 //
 // The contracts under test:
 //   1. work-accounting determinism — the fed_work_* registry series are
-//      byte-identical across reruns, thread counts, and serial vs
-//      pipelined epoch drivers (the property that makes work-counter
-//      drift a host-noise-immune perf-regression proxy);
+//      byte-identical across reruns and thread counts (the property that
+//      makes work-counter drift a host-noise-immune perf-regression
+//      proxy);
 //   2. off means off — with the profiler unarmed, no fed_work_ or
 //      derived:work_ series exist and every scenario in the registry
 //      produces bit-identical metrics with the profiler on vs off;
@@ -92,7 +92,6 @@ TEST(PhaseProfilerTest, ChromeTraceIsWellFormed) {
   profiler.AddSpan(1, 0, PhaseSpan{"settle", 4000, 9000});
   {
     ScopedSpan span(&profiler, profiler.federation_track(), 0, "barrier");
-    span.AddArg("occupancy", 2.0);
   }
   EXPECT_EQ(profiler.num_spans(), 3u);
 
@@ -109,7 +108,6 @@ TEST(PhaseProfilerTest, ChromeTraceIsWellFormed) {
   EXPECT_NE(json.find("\"name\": \"collect\""), std::string::npos);
   EXPECT_NE(json.find("\"ts\": 0.000"), std::string::npos);
   EXPECT_NE(json.find("\"epoch\": 0"), std::string::npos);
-  EXPECT_NE(json.find("\"occupancy\""), std::string::npos);
   int depth = 0;
   for (const char c : json) {
     depth += c == '{' ? 1 : c == '}' ? -1 : 0;
@@ -125,7 +123,6 @@ TEST(PhaseProfilerTest, ChromeTraceIsWellFormed) {
 
 TEST(PhaseProfilerTest, NullScopedSpanIsANoOp) {
   ScopedSpan span(nullptr, 0, 0, "never");
-  span.AddArg("ignored", 1.0);
   span.Stop();  // Must not crash; nothing to record into.
 }
 
@@ -213,12 +210,10 @@ std::vector<federation::ShardSpec> BaseShards(std::size_t shards,
   return specs;
 }
 
-federation::FederationConfig ProfilerConfigOn(bool pipelined,
-                                              std::size_t num_threads) {
+federation::FederationConfig ProfilerConfigOn(std::size_t num_threads) {
   federation::FederationConfig config;
   config.seed = 20090425;
   config.num_threads = num_threads;
-  config.pipelined = pipelined;
   config.telemetry.enabled = true;
   config.telemetry.profiler.work_accounting = true;
   return config;
@@ -231,7 +226,7 @@ std::string MetricsOf(const federation::FederatedExchange& fed) {
 TEST(WorkAccountingTest, CountersAreByteIdenticalAcrossThreadsAndReruns) {
   const auto run = [](std::size_t threads) {
     federation::FederatedExchange fed(BaseShards(3, 20),
-                                      ProfilerConfigOn(false, threads));
+                                      ProfilerConfigOn(threads));
     fed.RunEpochs(3);
     return MetricsOf(fed);
   };
@@ -243,18 +238,8 @@ TEST(WorkAccountingTest, CountersAreByteIdenticalAcrossThreadsAndReruns) {
   EXPECT_NE(once.find("fed_work_refund_ops"), std::string::npos);
 }
 
-TEST(WorkAccountingTest, SerialAndPipelinedCountersAreByteIdentical) {
-  federation::FederatedExchange serial(BaseShards(3, 20),
-                                       ProfilerConfigOn(false, 2));
-  serial.RunEpochs(3);
-  federation::FederatedExchange pipelined(BaseShards(3, 20),
-                                          ProfilerConfigOn(true, 2));
-  pipelined.RunEpochs(3);
-  EXPECT_EQ(MetricsOf(serial), MetricsOf(pipelined));
-}
-
 TEST(WorkAccountingTest, ProfilerOffLeaksNoWorkSeries) {
-  federation::FederationConfig config = ProfilerConfigOn(false, 2);
+  federation::FederationConfig config = ProfilerConfigOn(2);
   config.telemetry.profiler.work_accounting = false;
   config.telemetry.watchdog.recording_rules = true;
   config.telemetry.watchdog.alerts = true;
@@ -267,7 +252,7 @@ TEST(WorkAccountingTest, ProfilerOffLeaksNoWorkSeries) {
 }
 
 TEST(WorkAccountingTest, WorkRulePackRidesTheWatchdogWhenBothArmed) {
-  federation::FederationConfig config = ProfilerConfigOn(false, 2);
+  federation::FederationConfig config = ProfilerConfigOn(2);
   config.telemetry.watchdog.recording_rules = true;
   config.telemetry.watchdog.alerts = true;
   federation::FederatedExchange fed(BaseShards(2, 12), config);
@@ -318,7 +303,7 @@ TEST(WallChannelTest, SerialFederationRecordsShardAndFederationSpans) {
   EXPECT_NE(json.find("\"name\": \"collect\""), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"settle\""), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"barrier\""), std::string::npos);
-  // Per-epoch wall time: one `epoch` span per serial epoch.
+  // Per-epoch wall time: one `epoch` span per epoch.
   std::size_t epoch_spans = 0;
   for (std::size_t at = json.find("\"name\": \"epoch\"");
        at != std::string::npos;
@@ -332,25 +317,10 @@ TEST(WallChannelTest, SerialFederationRecordsShardAndFederationSpans) {
   EXPECT_EQ(MetricsOf(fed).find("fed_work_"), std::string::npos);
 }
 
-TEST(WallChannelTest, PipelinedRunRecordsWindowSpansWithOccupancy) {
-  federation::FederationConfig config;
-  config.seed = 20090425;
-  config.num_threads = 2;
-  config.pipelined = true;
-  config.telemetry.enabled = true;
-  config.telemetry.profiler.wall_clock = true;
-  federation::FederatedExchange fed(BaseShards(3, 15), config);
-  fed.RunEpochs(3);
-  const std::string json =
-      fed.telemetry()->profiler()->ChromeTraceJson();
-  EXPECT_NE(json.find("\"name\": \"window-wait\""), std::string::npos);
-  EXPECT_NE(json.find("\"occupancy\""), std::string::npos);
-}
-
 // ------------------------------------------------------ flight recorder --
 
 TEST(FlightDumpTest, ContainmentDumpAttachesThePhaseWorkTree) {
-  federation::FederationConfig config = ProfilerConfigOn(false, 2);
+  federation::FederationConfig config = ProfilerConfigOn(2);
   config.supervisor.enabled = true;
   config.supervisor.quarantine_streak = 1;
   federation::FederatedExchange fed(BaseShards(2, 12), config);
