@@ -133,13 +133,4 @@ void Cluster::RestoreJobs(std::vector<PlacedJobRecord> records) {
   }
 }
 
-bool Cluster::CanFit(const Job& job, PlacementPolicy policy) const {
-  // Trial placement on a copy of the machine state. Machine copies are
-  // cheap (two shapes); clusters have O(100..1000) machines.
-  std::vector<Machine> scratch = machines_;
-  const PlacementResult r = PlaceTasks(scratch, job.shape, job.tasks,
-                                       policy);
-  return r.Complete();
-}
-
 }  // namespace pm::cluster

@@ -68,9 +68,6 @@ class Cluster {
   /// Headroom: capacity − used per dimension.
   double Free(ResourceKind kind) const;
 
-  /// Would `job` fit right now (non-mutating check)?
-  bool CanFit(const Job& job, PlacementPolicy policy) const;
-
   /// One placed job with its machine assignment, for checkpointing.
   struct PlacedJobRecord {
     Job job;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <set>
 
 #include "common/check.h"
 #include "stats/descriptive.h"
@@ -44,7 +45,10 @@ Fleet Fleet::FromState(std::vector<Cluster> clusters,
     PM_CHECK_MSG(id == i, "duplicate pool in saved interning order: "
                               << ToString(pool_order[i]));
   }
+  std::set<std::string> names;
   for (const Cluster& c : fleet.clusters_) {
+    PM_CHECK_MSG(names.insert(c.name()).second,
+                 "duplicate cluster '" << c.name() << "' in restored fleet");
     for (ResourceKind kind : kAllResourceKinds) {
       PM_CHECK_MSG(fleet.registry_.Find(PoolKey{c.name(), kind}).has_value(),
                    "restored cluster '" << c.name()

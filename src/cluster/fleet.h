@@ -36,8 +36,8 @@ class Fleet {
   /// saved pool-interning order. The order can differ from cluster-major
   /// after extractions and adoptions — PoolIds are append-only for the
   /// market's lifetime, so a round trip must re-intern them in the exact
-  /// saved sequence. Every live cluster's pools must appear in
-  /// `pool_order`.
+  /// saved sequence. Cluster names must be unique, and every live
+  /// cluster's pools must appear in `pool_order`.
   static Fleet FromState(std::vector<Cluster> clusters,
                          const std::vector<PoolKey>& pool_order,
                          TaskShape unit_costs, PlacementPolicy policy);

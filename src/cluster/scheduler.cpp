@@ -1,6 +1,6 @@
 #include "cluster/scheduler.h"
 
-#include <limits>
+#include <algorithm>
 #include <numeric>
 
 #include "common/check.h"
@@ -20,7 +20,9 @@ std::string_view ToString(PlacementPolicy policy) {
 }
 
 int PlacementResult::TotalPlaced() const {
-  return std::accumulate(tasks_placed.begin(), tasks_placed.end(), 0);
+  return std::accumulate(
+      slots.begin(), slots.end(), 0,
+      [](int sum, const PlacementSlot& slot) { return sum + slot.tasks; });
 }
 
 namespace {
@@ -62,7 +64,6 @@ PlacementResult PlaceTasks(std::vector<Machine>& machines,
                            PlacementPolicy policy) {
   PM_CHECK_MSG(count >= 0, "negative task count " << count);
   PlacementResult result;
-  result.tasks_placed.assign(machines.size(), 0);
   for (int t = 0; t < count; ++t) {
     const int pick = PickMachine(machines, shape, policy);
     if (pick < 0) {
@@ -70,18 +71,23 @@ PlacementResult PlaceTasks(std::vector<Machine>& machines,
       break;
     }
     machines[static_cast<std::size_t>(pick)].Place(shape);
-    ++result.tasks_placed[static_cast<std::size_t>(pick)];
+    const auto machine = static_cast<MachineIndex>(pick);
+    auto slot = std::lower_bound(
+        result.slots.begin(), result.slots.end(), machine,
+        [](const PlacementSlot& s, MachineIndex m) { return s.machine < m; });
+    if (slot == result.slots.end() || slot->machine != machine) {
+      slot = result.slots.insert(slot, PlacementSlot{machine, 0});
+    }
+    ++slot->tasks;
   }
   return result;
 }
 
 void UndoPlacement(std::vector<Machine>& machines, const TaskShape& shape,
                    const PlacementResult& placement) {
-  PM_CHECK(placement.tasks_placed.size() == machines.size());
-  for (std::size_t i = 0; i < machines.size(); ++i) {
-    for (int t = 0; t < placement.tasks_placed[i]; ++t) {
-      machines[i].Remove(shape);
-    }
+  for (const PlacementSlot& slot : placement.slots) {
+    PM_CHECK(slot.machine < machines.size());
+    for (int t = 0; t < slot.tasks; ++t) machines[slot.machine].Remove(shape);
   }
 }
 

@@ -25,11 +25,20 @@ enum class PlacementPolicy {
 
 std::string_view ToString(PlacementPolicy policy);
 
+/// `tasks` tasks of one job placed on machine `machine`.
+struct PlacementSlot {
+  MachineIndex machine = 0;
+  int tasks = 0;
+
+  bool operator==(const PlacementSlot&) const = default;
+};
+
 /// Result of placing a multi-task job onto a machine set.
 struct PlacementResult {
-  /// tasks_placed[i] tasks went onto machine i. Same size as the machine
-  /// vector passed in.
-  std::vector<int> tasks_placed;
+  /// Where the placed tasks went: only machines that received at least
+  /// one task, ascending by machine index. A job sits on a handful of
+  /// machines out of hundreds, so this stays small.
+  std::vector<PlacementSlot> slots;
 
   /// Tasks that could not be placed anywhere.
   int tasks_failed = 0;
@@ -48,7 +57,8 @@ PlacementResult PlaceTasks(std::vector<Machine>& machines,
                            PlacementPolicy policy);
 
 /// Reverts a placement previously returned by PlaceTasks with the same
-/// shape.
+/// shape. Removes tasks machine by machine in ascending order, so the
+/// float sums in Machine::used() retrace the same operations.
 void UndoPlacement(std::vector<Machine>& machines, const TaskShape& shape,
                    const PlacementResult& placement);
 

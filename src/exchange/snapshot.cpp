@@ -24,12 +24,39 @@
 namespace pm::exchange {
 namespace {
 
-constexpr std::uint32_t kSnapshotVersion = 1;
+// Version 2: placed jobs store sparse (machine, tasks) slots.
+constexpr std::uint32_t kSnapshotVersion = 2;
+
+// Smallest encoded size of each counted record, for bounding counts read
+// from a frame (strings count as their 4-byte length prefix).
+constexpr std::size_t kShapeBytes = 3 * 8;
+constexpr std::size_t kPoolBytes = 4 + 1;
+constexpr std::size_t kClusterBytes = 4 + 4 + 4;
+constexpr std::size_t kMachineBytes = 2 * kShapeBytes;
+constexpr std::size_t kJobBytes = 8 + 4 + kShapeBytes + 4 + 4 + 4;
+constexpr std::size_t kSlotBytes = 4 + 4;
+constexpr std::size_t kJournalBytes = 4 + 4 + 8 + 4 + 4;
+constexpr std::size_t kQuotaRowBytes = 4 + 4 + 8 + 8;
+constexpr std::size_t kReportBytes = 4 + 4;
+constexpr std::size_t kAwardBytes = 1 + 8 + 8;
 
 template <typename T>
 T Req(std::optional<T> v, const char* what) {
   PM_CHECK_MSG(v.has_value(), "market snapshot truncated at " << what);
   return std::move(*v);
+}
+
+// Reads an element count and CHECKs that the rest of the frame can hold
+// that many elements of at least `min_bytes` each, so a corrupt count
+// fails cleanly instead of reserving memory for records that are not
+// there.
+std::uint32_t ReadCount(net::Deserializer& d, const char* what,
+                        std::size_t min_bytes) {
+  const std::uint32_t n = Req(d.ReadU32(), what);
+  PM_CHECK_MSG(n <= d.Remaining() / min_bytes,
+               "market snapshot " << what << " " << n
+                                  << " exceeds the frame");
+  return n;
 }
 
 void WriteShape(net::Serializer& s, const cluster::TaskShape& shape) {
@@ -101,8 +128,11 @@ std::vector<std::uint8_t> Market::Snapshot() const {
       s.WriteString(rec.job.team);
       WriteShape(s, rec.job.shape);
       s.WriteI32(rec.job.tasks);
-      s.WriteU32(static_cast<std::uint32_t>(rec.placement.tasks_placed.size()));
-      for (int t : rec.placement.tasks_placed) s.WriteI32(t);
+      s.WriteU32(static_cast<std::uint32_t>(rec.placement.slots.size()));
+      for (const cluster::PlacementSlot& slot : rec.placement.slots) {
+        s.WriteU32(slot.machine);
+        s.WriteI32(slot.tasks);
+      }
       s.WriteI32(rec.placement.tasks_failed);
     }
   }
@@ -189,7 +219,7 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
   const cluster::TaskShape unit_costs = ReadShape(d);
   const auto policy =
       static_cast<cluster::PlacementPolicy>(Req(d.ReadU8(), "policy"));
-  const std::uint32_t num_pools = Req(d.ReadU32(), "pool count");
+  const std::uint32_t num_pools = ReadCount(d, "pool count", kPoolBytes);
   std::vector<PoolKey> pool_order;
   pool_order.reserve(num_pools);
   for (std::uint32_t r = 0; r < num_pools; ++r) {
@@ -198,12 +228,14 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
     key.kind = static_cast<ResourceKind>(Req(d.ReadU8(), "pool kind"));
     pool_order.push_back(std::move(key));
   }
-  const std::uint32_t num_clusters = Req(d.ReadU32(), "cluster count");
+  const std::uint32_t num_clusters =
+      ReadCount(d, "cluster count", kClusterBytes);
   std::vector<cluster::Cluster> clusters;
   clusters.reserve(num_clusters);
   for (std::uint32_t c = 0; c < num_clusters; ++c) {
     std::string name = Req(d.ReadString(), "cluster name");
-    const std::uint32_t num_machines = Req(d.ReadU32(), "machine count");
+    const std::uint32_t num_machines =
+        ReadCount(d, "machine count", kMachineBytes);
     std::vector<cluster::Machine> machines;
     machines.reserve(num_machines);
     for (std::uint32_t m = 0; m < num_machines; ++m) {
@@ -214,7 +246,7 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
       machines.push_back(machine);
     }
     cluster::Cluster cl(std::move(name), std::move(machines));
-    const std::uint32_t num_jobs = Req(d.ReadU32(), "job count");
+    const std::uint32_t num_jobs = ReadCount(d, "job count", kJobBytes);
     std::vector<cluster::Cluster::PlacedJobRecord> records;
     records.reserve(num_jobs);
     for (std::uint32_t j = 0; j < num_jobs; ++j) {
@@ -223,13 +255,34 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
       rec.job.team = Req(d.ReadString(), "job team");
       rec.job.shape = ReadShape(d);
       rec.job.tasks = Req(d.ReadI32(), "job tasks");
-      const std::uint32_t placed = Req(d.ReadU32(), "placement count");
-      rec.placement.tasks_placed.reserve(placed);
-      for (std::uint32_t t = 0; t < placed; ++t) {
-        rec.placement.tasks_placed.push_back(
-            Req(d.ReadI32(), "task placement"));
+      // Slots are validated here, so a corrupt frame can never hand
+      // UndoPlacement a machine index outside the cluster.
+      const std::uint32_t num_slots = ReadCount(d, "slot count", kSlotBytes);
+      rec.placement.slots.reserve(num_slots);
+      std::int64_t placed = 0;
+      for (std::uint32_t i = 0; i < num_slots; ++i) {
+        cluster::PlacementSlot slot;
+        slot.machine = Req(d.ReadU32(), "slot machine");
+        slot.tasks = Req(d.ReadI32(), "slot tasks");
+        PM_CHECK_MSG(slot.machine < num_machines,
+                     "job " << rec.job.id << " slot on machine "
+                            << slot.machine << " of " << num_machines);
+        PM_CHECK_MSG(rec.placement.slots.empty() ||
+                         rec.placement.slots.back().machine < slot.machine,
+                     "job " << rec.job.id
+                            << " slots are not strictly ascending");
+        PM_CHECK_MSG(slot.tasks >= 1, "job " << rec.job.id << " slot holds "
+                                             << slot.tasks << " tasks");
+        placed += slot.tasks;
+        rec.placement.slots.push_back(slot);
       }
       rec.placement.tasks_failed = Req(d.ReadI32(), "tasks failed");
+      PM_CHECK_MSG(rec.placement.tasks_failed >= 0 &&
+                       placed == static_cast<std::int64_t>(rec.job.tasks) -
+                                     rec.placement.tasks_failed,
+                   "job " << rec.job.id << " places " << placed << " of "
+                          << rec.job.tasks << " tasks with "
+                          << rec.placement.tasks_failed << " failed");
       records.push_back(std::move(rec));
     }
     cl.RestoreJobs(std::move(records));
@@ -284,7 +337,7 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
     ledger_.RestoreAccount(std::move(name), Money::FromMicros(micros),
                            allow_negative);
   }
-  const std::uint32_t num_entries = Req(d.ReadU32(), "journal size");
+  const std::uint32_t num_entries = ReadCount(d, "journal size", kJournalBytes);
   std::vector<JournalEntry> journal;
   journal.reserve(num_entries);
   for (std::uint32_t e = 0; e < num_entries; ++e) {
@@ -301,7 +354,7 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
   accounts_.RebindForRestore(operator_account);
 
   // Quota.
-  const std::uint32_t num_rows = Req(d.ReadU32(), "quota rows");
+  const std::uint32_t num_rows = ReadCount(d, "quota rows", kQuotaRowBytes);
   std::vector<cluster::QuotaTable::Row> rows;
   rows.reserve(num_rows);
   for (std::uint32_t r = 0; r < num_rows; ++r) {
@@ -316,13 +369,14 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
   quota_.RestoreRows(rows);
 
   // History digest.
-  const std::uint32_t num_reports = Req(d.ReadU32(), "history size");
+  const std::uint32_t num_reports = ReadCount(d, "history size", kReportBytes);
   history_.clear();
   history_.reserve(num_reports);
   for (std::uint32_t i = 0; i < num_reports; ++i) {
     AuctionReport report;
     report.auction_index = Req(d.ReadI32(), "history auction index");
-    const std::uint32_t num_awards = Req(d.ReadU32(), "history awards");
+    const std::uint32_t num_awards =
+        ReadCount(d, "history awards", kAwardBytes);
     report.awards.reserve(num_awards);
     for (std::uint32_t a = 0; a < num_awards; ++a) {
       AwardRecord award;

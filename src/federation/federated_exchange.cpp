@@ -599,6 +599,9 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
   // checkpointed *before* any epoch mutation (allowance endowments
   // included), so a contained failure can roll the shard back to the
   // epoch boundary and RefundAllowance squares the planet ledger.
+  // Health transitions run serially; the checkpoints then run
+  // concurrently, like step 2: shards share no mutable state and
+  // Snapshot() is const.
   std::vector<std::vector<std::uint8_t>> checkpoints(shards_.size());
   if (supervised) {
     for (std::size_t k = 0; k < shards_.size(); ++k) {
@@ -615,8 +618,13 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
       } else {
         h.active = true;
       }
-      if (h.active) checkpoints[k] = shards_[k]->market->Snapshot();
     }
+    // ParallelFor runs the loop inline when pool_ is null.
+    telemetry::ScopedSpan checkpoint_span(prof, fed_track, epoch,
+                                          "checkpoint");
+    ParallelFor(pool_.get(), 0, shards_.size(), [&](std::size_t k) {
+      if (health_[k].active) checkpoints[k] = shards_[k]->market->Snapshot();
+    });
   }
   const auto shard_active = [&](std::size_t k) {
     return !supervised || health_[k].active;

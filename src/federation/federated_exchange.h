@@ -85,8 +85,8 @@ struct FederationConfig {
 
   RouterConfig router;
 
-  /// Worker threads for concurrent shard auctions; 0 or 1 runs shards
-  /// serially inline. Results are identical either way.
+  /// Worker threads for concurrent shard checkpoints and auctions; 0 or
+  /// 1 runs shards serially inline. Results are identical either way.
   std::size_t num_threads = 0;
 
   /// When > 0, every shard's binding auctions run over the pm::net wire

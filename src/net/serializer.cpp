@@ -145,6 +145,10 @@ std::optional<std::vector<std::uint8_t>> Deserializer::ReadBytes() {
 std::optional<std::vector<double>> Deserializer::ReadDoubleVector() {
   const auto size = ReadU32();
   if (!size) return std::nullopt;
+  // A corrupt length must not reserve more than the frame could hold.
+  if (!Need(static_cast<std::size_t>(*size) * sizeof(double))) {
+    return std::nullopt;
+  }
   std::vector<double> v;
   v.reserve(*size);
   for (std::uint32_t i = 0; i < *size; ++i) {

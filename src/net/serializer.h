@@ -61,6 +61,9 @@ class Deserializer {
   /// True when every payload byte has been consumed.
   bool Exhausted() const { return pos_ == payload_size_; }
 
+  /// Payload bytes not yet consumed.
+  std::size_t Remaining() const { return payload_size_ - pos_; }
+
  private:
   bool Need(std::size_t n) const { return pos_ + n <= payload_size_; }
 

@@ -107,8 +107,7 @@ TEST(SchedulerTest, FirstFitPicksLowestIndex) {
   const PlacementResult r =
       PlaceTasks(machines, {4.0, 4.0, 1.0}, 2, PlacementPolicy::kFirstFit);
   EXPECT_TRUE(r.Complete());
-  EXPECT_EQ(r.tasks_placed[0], 2);
-  EXPECT_EQ(r.tasks_placed[1], 0);
+  EXPECT_EQ(r.slots, (std::vector<PlacementSlot>{{0, 2}}));
 }
 
 TEST(SchedulerTest, WorstFitSpreadsLoad) {
@@ -116,7 +115,7 @@ TEST(SchedulerTest, WorstFitSpreadsLoad) {
   const PlacementResult r =
       PlaceTasks(machines, {4.0, 4.0, 1.0}, 3, PlacementPolicy::kWorstFit);
   EXPECT_TRUE(r.Complete());
-  EXPECT_EQ(r.tasks_placed, (std::vector<int>{1, 1, 1}));
+  EXPECT_EQ(r.slots, (std::vector<PlacementSlot>{{0, 1}, {1, 1}, {2, 1}}));
 }
 
 TEST(SchedulerTest, BestFitPacksTightly) {
@@ -125,7 +124,8 @@ TEST(SchedulerTest, BestFitPacksTightly) {
   const PlacementResult r =
       PlaceTasks(machines, {4.0, 4.0, 1.0}, 1, PlacementPolicy::kBestFit);
   EXPECT_TRUE(r.Complete());
-  EXPECT_EQ(r.tasks_placed[1], 1);  // Fills the tight machine first.
+  // Fills the tight machine first.
+  EXPECT_EQ(r.slots, (std::vector<PlacementSlot>{{1, 1}}));
 }
 
 TEST(SchedulerTest, ReportsFailuresWhenFull) {
@@ -218,12 +218,6 @@ TEST(ClusterTest, UtilizationAggregatesMachines) {
   EXPECT_DOUBLE_EQ(c.Utilization(ResourceKind::kCpu), 0.25);
   EXPECT_DOUBLE_EQ(c.MaxUtilization(),
                    c.Utilization(ResourceKind::kRam));  // RAM dominates.
-}
-
-TEST(ClusterTest, CanFitDoesNotMutate) {
-  Cluster c = Cluster::Homogeneous("c1", 1, kMachine);
-  EXPECT_TRUE(c.CanFit(MakeJob(1, "t", 2), PlacementPolicy::kBestFit));
-  EXPECT_EQ(c.Used(ResourceKind::kCpu), 0.0);
 }
 
 // ------------------------------------------------------------------ fleet --

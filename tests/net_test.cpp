@@ -125,6 +125,16 @@ TEST(SerializerTest, TruncationReturnsNullopt) {
   EXPECT_FALSE(d.ReadU64().has_value());
 }
 
+TEST(SerializerTest, OversizedVectorLengthReturnsNullopt) {
+  Serializer s;
+  s.WriteU32(0xFFFFFFFFu);  // A double-vector length no frame can hold.
+  s.WriteDouble(1.0);
+  Deserializer d(std::move(s).FinishWithChecksum());
+  ASSERT_TRUE(d.VerifyChecksum());
+  EXPECT_EQ(d.Remaining(), 12u);
+  EXPECT_FALSE(d.ReadDoubleVector().has_value());
+}
+
 TEST(SerializerTest, ReadBeforeVerifyThrows) {
   Serializer s;
   s.WriteU8(1);

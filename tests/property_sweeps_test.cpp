@@ -1,12 +1,17 @@
 // Parameterized property sweeps across modules:
 //  * random bid-language trees: alternative counting vs actual expansion,
 //    and concrete-syntax round-trips through the parser
-//  * bin-packing placement invariants across policies × random workloads
+//  * bin-packing placement invariants across policies × random workloads,
+//    and sparse placement slots against the dense-scan oracle
 //  * whole-market invariants across seeds (conservation, price floors,
 //    report sanity)
 //  * distributed/serial equivalence across proxy-node counts
+//  * fuzzing: garbage and corrupted wire frames, parser token soup, and
+//    resealed byte mutations of market snapshot frames
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <map>
 #include <sstream>
 
@@ -14,9 +19,12 @@
 #include "bid/tbbl_flatten.h"
 #include "bid/tbbl_parser.h"
 #include "cluster/scheduler.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "exchange/market.h"
+#include "federation/federated_exchange.h"
 #include "net/distributed_auction.h"
+#include "net/serializer.h"
 #include "net/wire.h"
 
 namespace pm {
@@ -143,6 +151,131 @@ TEST_P(PlacementPropertyTest, NeverExceedsCapacityAndUndoRestores) {
                   pristine[m].used().Of(kind), 1e-6);
     }
   }
+}
+
+// Differential oracle: the dense placement scan the sparse slots
+// replaced. Same pick rule as PickMachine, but it records one task count
+// per machine and undoes by walking every machine.
+std::vector<int> OraclePlaceTasks(std::vector<cluster::Machine>& machines,
+                                  const cluster::TaskShape& shape, int count,
+                                  cluster::PlacementPolicy policy,
+                                  int* tasks_failed) {
+  std::vector<int> tasks_placed(machines.size(), 0);
+  *tasks_failed = 0;
+  for (int t = 0; t < count; ++t) {
+    int best = -1;
+    double best_fill = 0.0;
+    for (std::size_t i = 0; i < machines.size(); ++i) {
+      if (!machines[i].CanFit(shape)) continue;
+      if (policy == cluster::PlacementPolicy::kFirstFit) {
+        best = static_cast<int>(i);
+        break;
+      }
+      const double fill = machines[i].FillAfter(shape);
+      if (policy == cluster::PlacementPolicy::kBestFit) {
+        if (best < 0 || fill > best_fill) {
+          best = static_cast<int>(i);
+          best_fill = fill;
+        }
+      } else if (best < 0 || fill < best_fill) {
+        best = static_cast<int>(i);
+        best_fill = fill;
+      }
+    }
+    if (best < 0) {
+      *tasks_failed = count - t;
+      break;
+    }
+    machines[static_cast<std::size_t>(best)].Place(shape);
+    ++tasks_placed[static_cast<std::size_t>(best)];
+  }
+  return tasks_placed;
+}
+
+void OracleUndo(std::vector<cluster::Machine>& machines,
+                const cluster::TaskShape& shape,
+                const std::vector<int>& tasks_placed) {
+  for (std::size_t i = 0; i < machines.size(); ++i) {
+    for (int t = 0; t < tasks_placed[i]; ++t) machines[i].Remove(shape);
+  }
+}
+
+std::vector<int> Expand(const cluster::PlacementResult& result,
+                        std::size_t num_machines) {
+  std::vector<int> dense(num_machines, 0);
+  for (const cluster::PlacementSlot& slot : result.slots) {
+    EXPECT_GE(slot.tasks, 1);
+    dense.at(slot.machine) += slot.tasks;
+  }
+  return dense;
+}
+
+void ExpectSameBits(const std::vector<cluster::Machine>& a,
+                    const std::vector<cluster::Machine>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t m = 0; m < a.size(); ++m) {
+    for (ResourceKind kind : kAllResourceKinds) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[m].used().Of(kind)),
+                std::bit_cast<std::uint64_t>(b[m].used().Of(kind)))
+          << "machine " << m << " kind " << static_cast<int>(kind);
+    }
+  }
+}
+
+TEST_P(PlacementPropertyTest, SparseSlotsMatchDenseOracle) {
+  RandomStream rng(7800 + static_cast<std::uint64_t>(
+                              std::get<0>(GetParam())));
+  const cluster::PlacementPolicy policy = std::get<1>(GetParam());
+
+  std::vector<cluster::Machine> machines;
+  const int num_machines = static_cast<int>(rng.UniformInt(1, 40));
+  for (int m = 0; m < num_machines; ++m) {
+    machines.emplace_back(cluster::TaskShape{
+        rng.Uniform(8.0, 32.0), rng.Uniform(32.0, 128.0),
+        rng.Uniform(4.0, 16.0)});
+  }
+  std::vector<cluster::Machine> oracle = machines;
+
+  struct Placed {
+    cluster::TaskShape shape;
+    cluster::PlacementResult result;
+    std::vector<int> dense;
+  };
+  std::vector<Placed> placed;
+  for (int round = 0; round < 40; ++round) {
+    const cluster::TaskShape shape{rng.Uniform(0.5, 6.0),
+                                   rng.Uniform(1.0, 24.0),
+                                   rng.Uniform(0.1, 3.0)};
+    const int count = static_cast<int>(rng.UniformInt(0, 30));
+    cluster::PlacementResult result =
+        PlaceTasks(machines, shape, count, policy);
+    int oracle_failed = 0;
+    std::vector<int> dense =
+        OraclePlaceTasks(oracle, shape, count, policy, &oracle_failed);
+    for (std::size_t i = 1; i < result.slots.size(); ++i) {
+      EXPECT_LT(result.slots[i - 1].machine, result.slots[i].machine);
+    }
+    EXPECT_EQ(Expand(result, machines.size()), dense) << "round " << round;
+    EXPECT_EQ(result.tasks_failed, oracle_failed) << "round " << round;
+    ExpectSameBits(machines, oracle);
+    placed.push_back(Placed{shape, std::move(result), std::move(dense)});
+
+    // Undo a random earlier placement now and then, so later rounds
+    // place onto machines that were partly freed.
+    if (!placed.empty() && rng.Bernoulli(0.3)) {
+      const auto pick = static_cast<std::size_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(placed.size()) - 1));
+      UndoPlacement(machines, placed[pick].shape, placed[pick].result);
+      OracleUndo(oracle, placed[pick].shape, placed[pick].dense);
+      ExpectSameBits(machines, oracle);
+      placed.erase(placed.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+  }
+  for (auto it = placed.rbegin(); it != placed.rend(); ++it) {
+    UndoPlacement(machines, it->shape, it->result);
+    OracleUndo(oracle, it->shape, it->dense);
+  }
+  ExpectSameBits(machines, oracle);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -308,6 +441,209 @@ TEST_P(FuzzSweepTest, ParserNeverCrashesOnTokenSoup) {
       if (!out.ok()) EXPECT_FALSE(out.error.empty());
     }) << source;
   }
+}
+
+// Offsets of the fleet section and of every placed job's slot fields in
+// a Market::Snapshot() frame, found by walking the frame's layout.
+struct SnapshotLayout {
+  struct JobSlots {
+    std::uint32_t num_machines = 0;  // Of the job's cluster.
+    std::size_t slot_count = 0;
+    std::vector<std::size_t> machine;  // One offset per slot.
+    std::vector<std::size_t> tasks;
+  };
+  std::size_t clusters_begin = 0;  // The cluster count.
+  std::size_t clusters_end = 0;    // The agent count after the clusters.
+  std::vector<std::size_t> cluster_names;  // Each name's length prefix.
+  std::vector<JobSlots> jobs;
+};
+
+void PutU32(std::vector<std::uint8_t>& frame, std::size_t at,
+            std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    frame.at(at + static_cast<std::size_t>(i)) =
+        static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+std::uint32_t GetU32(const std::vector<std::uint8_t>& frame, std::size_t at) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<std::uint32_t>(frame.at(at + static_cast<std::size_t>(i)))
+         << (8 * i);
+  }
+  return v;
+}
+
+SnapshotLayout WalkSnapshot(const std::vector<std::uint8_t>& frame) {
+  std::size_t at = 0;
+  const auto u32 = [&] {
+    const std::uint32_t v = GetU32(frame, at);
+    at += 4;
+    return v;
+  };
+  const auto skip_string = [&] { at += u32(); };
+  SnapshotLayout layout;
+  at += 4;                  // Version.
+  at += 8 * u32();          // Fixed prices.
+  at += 1 + 8 + 4 * 8;      // Endowed flag, next job id, RNG state.
+  at += 3 * 8 + 1;          // Unit costs, placement policy.
+  for (std::uint32_t pools = u32(); pools > 0; --pools) {
+    skip_string();
+    at += 1;
+  }
+  layout.clusters_begin = at;
+  for (std::uint32_t clusters = u32(); clusters > 0; --clusters) {
+    layout.cluster_names.push_back(at);
+    skip_string();
+    const std::uint32_t num_machines = u32();
+    at += 6 * 8 * static_cast<std::size_t>(num_machines);
+    for (std::uint32_t jobs = u32(); jobs > 0; --jobs) {
+      at += 8;  // Job id.
+      skip_string();
+      at += 3 * 8 + 4;  // Shape, tasks.
+      SnapshotLayout::JobSlots job;
+      job.num_machines = num_machines;
+      job.slot_count = at;
+      for (std::uint32_t slots = u32(); slots > 0; --slots) {
+        job.machine.push_back(at);
+        job.tasks.push_back(at + 4);
+        at += 8;
+      }
+      at += 4;  // Tasks failed.
+      layout.jobs.push_back(std::move(job));
+    }
+  }
+  layout.clusters_end = at;
+  return layout;
+}
+
+// Rewrites the FNV-1a trailer so a mutant passes the checksum and
+// reaches the decoder's own validation.
+void Reseal(std::vector<std::uint8_t>& frame) {
+  const std::size_t payload = frame.size() - 8;
+  const std::uint64_t sum = net::Fnv1a(frame.data(), payload);
+  for (int i = 0; i < 8; ++i) {
+    frame[payload + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(sum >> (8 * i));
+  }
+}
+
+// A mutant frame is either rejected with CheckFailure or restores and
+// re-snapshots to exactly its own bytes. Returns whether it was rejected.
+bool RejectedOrRoundTrips(exchange::Market& market,
+                          const std::vector<std::uint8_t>& frame) {
+  try {
+    market.Restore(frame);
+  } catch (const CheckFailure&) {
+    return true;
+  }
+  EXPECT_EQ(market.Snapshot(), frame);
+  return false;
+}
+
+TEST_P(FuzzSweepTest, MutatedSnapshotFramesAreRejectedOrRoundTrip) {
+  // A real checkpoint: shard 0 of a supervised federation, two epochs in,
+  // so its clusters hold placed jobs.
+  std::vector<federation::ShardSpec> specs;
+  for (int k = 0; k < 2; ++k) {
+    federation::ShardSpec spec;
+    spec.name = "region-" + std::to_string(k);
+    spec.workload.num_clusters = 3;
+    spec.workload.num_teams = 10;
+    spec.workload.min_machines_per_cluster = 8;
+    spec.workload.max_machines_per_cluster = 16;
+    spec.market.auction.alpha = 0.4;
+    spec.market.auction.delta = 0.08;
+    specs.push_back(std::move(spec));
+  }
+  federation::FederationConfig config;
+  config.seed = 4700 + static_cast<std::uint64_t>(GetParam());
+  config.supervisor.enabled = true;
+  federation::FederatedExchange fed(specs, config);
+  fed.RunEpoch();
+  fed.RunEpoch();
+  exchange::Market& market = fed.ShardMarket(0);
+  const std::vector<std::uint8_t> good = market.Snapshot();
+  const SnapshotLayout layout = WalkSnapshot(good);
+  ASSERT_FALSE(layout.jobs.empty());
+
+  // Targeted: every placement field of every job, set to values that
+  // break one slot rule each. All of them must be rejected.
+  const auto expect_rejected = [&](std::size_t at, std::uint32_t v,
+                                   const char* what) {
+    std::vector<std::uint8_t> frame = good;
+    PutU32(frame, at, v);
+    Reseal(frame);
+    EXPECT_THROW(market.Restore(frame), CheckFailure) << what;
+  };
+  bool saw_multi_slot = false;
+  for (const SnapshotLayout::JobSlots& job : layout.jobs) {
+    const std::uint32_t count = GetU32(good, job.slot_count);
+    ASSERT_GE(count, 1u);
+    expect_rejected(job.slot_count, count + 1, "slot count + 1");
+    expect_rejected(job.slot_count, count - 1, "slot count - 1");
+    expect_rejected(job.slot_count, 0xFFFFFFFFu, "huge slot count");
+    for (std::size_t i = 0; i < job.machine.size(); ++i) {
+      expect_rejected(job.machine[i], job.num_machines, "machine == count");
+      expect_rejected(job.machine[i], 0xFFFFFFFFu, "machine out of range");
+      const std::uint32_t tasks = GetU32(good, job.tasks[i]);
+      expect_rejected(job.tasks[i], 0, "empty slot");
+      expect_rejected(job.tasks[i], static_cast<std::uint32_t>(-1),
+                      "negative tasks");
+      expect_rejected(job.tasks[i], tasks + 1, "tasks sum too large");
+      if (i > 0) {
+        saw_multi_slot = true;
+        const std::uint32_t prev = GetU32(good, job.machine[i - 1]);
+        expect_rejected(job.machine[i], prev, "repeated machine");
+        std::vector<std::uint8_t> swapped = good;
+        PutU32(swapped, job.machine[i - 1], GetU32(good, job.machine[i]));
+        PutU32(swapped, job.machine[i], prev);
+        Reseal(swapped);
+        EXPECT_THROW(market.Restore(swapped), CheckFailure)
+            << "descending slots";
+      }
+    }
+  }
+  EXPECT_TRUE(saw_multi_slot) << "no job spans two machines; the "
+                                 "ordering rule went unexercised";
+
+  // A cluster renamed to its neighbour's name must not restore: the
+  // re-snapshot would write the first cluster's records twice.
+  ASSERT_GE(layout.cluster_names.size(), 2u);
+  const std::size_t first = layout.cluster_names[0];
+  const std::size_t second = layout.cluster_names[1];
+  ASSERT_EQ(GetU32(good, first), GetU32(good, second));
+  std::vector<std::uint8_t> renamed = good;
+  std::copy_n(good.begin() + static_cast<std::ptrdiff_t>(first),
+              4 + GetU32(good, first),
+              renamed.begin() + static_cast<std::ptrdiff_t>(second));
+  Reseal(renamed);
+  EXPECT_THROW(market.Restore(renamed), CheckFailure) << "duplicate name";
+
+  // Random: byte mutations over the fleet's cluster records (machines,
+  // jobs and their slots), resealed. The other sections decode
+  // leniently (flag bytes other than 0/1, quota rows in any order), so
+  // their mutants may restore to a different canonical frame.
+  RandomStream rng(4800 + static_cast<std::uint64_t>(GetParam()));
+  const auto begin = static_cast<std::int64_t>(layout.clusters_begin);
+  const auto end = static_cast<std::int64_t>(layout.clusters_end);
+  int rejected = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<std::uint8_t> frame = good;
+    const int flips = static_cast<int>(rng.UniformInt(1, 3));
+    for (int f = 0; f < flips; ++f) {
+      const auto at = static_cast<std::size_t>(rng.UniformInt(begin, end - 1));
+      frame[at] = static_cast<std::uint8_t>(rng.UniformInt(0, 255));
+    }
+    Reseal(frame);
+    if (RejectedOrRoundTrips(market, frame)) ++rejected;
+  }
+  EXPECT_GT(rejected, 0);
+
+  // The market is still usable: the good frame round-trips.
+  market.Restore(good);
+  EXPECT_EQ(market.Snapshot(), good);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweepTest, ::testing::Range(0, 4));

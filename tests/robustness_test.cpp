@@ -20,6 +20,7 @@
 //       byte-identical metrics JSON across reruns and thread counts.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -148,6 +149,51 @@ TEST(SnapshotRoundTripTest, CrashedShardRestoredBitIdentically) {
   EXPECT_TRUE(next.shards[0].participated);
   EXPECT_FALSE(next.shards[0].failed);
   EXPECT_EQ(fed.ShardHealthOf(0).status, ShardHealth::kHealthy);
+}
+
+TEST(SnapshotRoundTripTest, CheckpointsAreIdenticalAcrossThreadCounts) {
+  // The supervisor takes its epoch-start checkpoints concurrently on the
+  // shard pool. The frame a crashed shard is rolled back to, and the
+  // epoch it then plays, must not depend on how many threads took it.
+  struct Run {
+    std::vector<std::uint8_t> restored;
+    std::vector<std::vector<double>> next_prices;
+  };
+  std::vector<Run> runs;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    FederationConfig config;
+    config.seed = 91;
+    config.num_threads = threads;
+    config.supervisor.enabled = true;
+    config.economy.treasury = true;
+    FederatedExchange fed(ThreeShards(), config);
+    fed.EndowFederatedTeam("globex", Money::FromDollars(50000));
+    fed.RunEpoch();
+
+    fed.InjectShardFailure(1);
+    const FederationReport failed = fed.RunEpoch();
+    ASSERT_TRUE(failed.shards[1].failed);
+    ASSERT_EQ(failed.health.restored_checkpoints, 1u);
+
+    Run run;
+    run.restored = fed.ShardMarket(1).Snapshot();
+    const FederationReport next = fed.RunEpoch();
+    EXPECT_TRUE(next.shards[1].participated);
+    for (const ShardEpochSummary& shard : next.shards) {
+      run.next_prices.push_back(shard.report.settled_prices);
+    }
+    runs.push_back(std::move(run));
+  }
+  EXPECT_EQ(runs[0].restored, runs[1].restored);
+  ASSERT_EQ(runs[0].next_prices.size(), runs[1].next_prices.size());
+  for (std::size_t k = 0; k < runs[0].next_prices.size(); ++k) {
+    ASSERT_EQ(runs[0].next_prices[k].size(), runs[1].next_prices[k].size());
+    for (std::size_t r = 0; r < runs[0].next_prices[k].size(); ++r) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(runs[0].next_prices[k][r]),
+                std::bit_cast<std::uint64_t>(runs[1].next_prices[k][r]))
+          << "shard " << k << " pool " << r;
+    }
+  }
 }
 
 // ------------------------------------------------ epoch supervision (2) --
