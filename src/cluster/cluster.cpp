@@ -29,11 +29,10 @@ Cluster Cluster::Homogeneous(std::string name, int num_machines,
   return Cluster(std::move(name), std::move(machines));
 }
 
-bool Cluster::AddJob(const Job& job, PlacementPolicy policy) {
+bool Cluster::AddJob(const Job& job) {
   PM_CHECK_MSG(jobs_.count(job.id) == 0,
                "job " << job.id << " already in cluster " << name_);
-  PlacementResult placement =
-      PlaceTasks(machines_, job.shape, job.tasks, policy);
+  PlacementResult placement = PlaceTasks(machines_, job.shape, job.tasks);
   if (!placement.Complete()) {
     UndoPlacement(machines_, job.shape, placement);
     RecountUsed();

@@ -35,7 +35,7 @@ class Cluster {
 
   /// Tries to place every task of `job`. Atomic: on failure nothing
   /// changes and false is returned.
-  bool AddJob(const Job& job, PlacementPolicy policy);
+  bool AddJob(const Job& job);
 
   /// Removes a job and frees its resources. Returns the job if present.
   std::optional<Job> RemoveJob(JobId id);

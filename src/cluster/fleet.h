@@ -29,8 +29,7 @@ class Fleet {
   /// `unit_costs` gives the operator's real cost c(r) per unit of each
   /// resource kind (e.g. $/core, $/GB, $/TB per auction period); the
   /// reserve pricer scales these by the congestion weighting.
-  Fleet(std::vector<Cluster> clusters, TaskShape unit_costs,
-        PlacementPolicy policy = PlacementPolicy::kBestFit);
+  Fleet(std::vector<Cluster> clusters, TaskShape unit_costs);
 
   /// Checkpoint restore: rebuilds a fleet from restored clusters plus the
   /// saved pool-interning order. The order can differ from cluster-major
@@ -40,7 +39,7 @@ class Fleet {
   /// cluster's pools must appear in `pool_order`.
   static Fleet FromState(std::vector<Cluster> clusters,
                          const std::vector<PoolKey>& pool_order,
-                         TaskShape unit_costs, PlacementPolicy policy);
+                         TaskShape unit_costs);
 
   const PoolRegistry& registry() const { return registry_; }
   std::size_t NumPools() const { return registry_.size(); }
@@ -54,8 +53,6 @@ class Fleet {
   Cluster& ClusterByName(const std::string& name);
   const Cluster& ClusterByName(const std::string& name) const;
   bool HasCluster(const std::string& name) const;
-
-  PlacementPolicy policy() const { return policy_; }
 
   /// The operator's per-unit resource costs c(r), as passed at build time.
   const TaskShape& unit_costs() const { return unit_costs_; }
@@ -121,8 +118,7 @@ class Fleet {
 
  private:
   struct RestoreTag {};
-  Fleet(RestoreTag, std::vector<Cluster> clusters, TaskShape unit_costs,
-        PlacementPolicy policy);
+  Fleet(RestoreTag, std::vector<Cluster> clusters, TaskShape unit_costs);
 
   std::size_t IndexOf(const std::string& cluster) const;
 
@@ -134,7 +130,6 @@ class Fleet {
   std::vector<Cluster> clusters_;
   PoolRegistry registry_;
   TaskShape unit_costs_;
-  PlacementPolicy policy_;
 };
 
 }  // namespace pm::cluster

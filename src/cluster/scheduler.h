@@ -1,29 +1,19 @@
-// planetmarket: task-to-machine placement policies.
+// planetmarket: task-to-machine placement.
 //
 // The market's provisioning layer sits above a per-cluster scheduler
 // ("these allocation limits are then mapped into the low-level scheduling
 // algorithms used to actually assign jobs to units of physical hardware",
-// §I). This module implements the classic online bin-packing policies; the
-// fleet uses them to answer "does this job actually fit in that cluster?",
-// which is what makes utilization ψ(r) a real, packing-constrained number
-// rather than a bookkeeping fiction.
+// §I). This module implements online best-fit bin packing; the fleet uses
+// it to answer "does this job actually fit in that cluster?", which is what
+// makes utilization ψ(r) a real, packing-constrained number rather than a
+// bookkeeping fiction.
 #pragma once
 
-#include <string_view>
 #include <vector>
 
 #include "cluster/machine.h"
 
 namespace pm::cluster {
-
-/// Placement policy for choosing among machines that can fit a task.
-enum class PlacementPolicy {
-  kFirstFit,  // Lowest-index machine that fits.
-  kBestFit,   // Machine left tightest (max dimension fill) after placing.
-  kWorstFit,  // Machine left loosest after placing (load spreading).
-};
-
-std::string_view ToString(PlacementPolicy policy);
 
 /// `tasks` tasks of one job placed on machine `machine`.
 struct PlacementSlot {
@@ -48,13 +38,14 @@ struct PlacementResult {
   int TotalPlaced() const;
 };
 
-/// Places `count` tasks of `shape` one at a time using `policy`, mutating
-/// `machines`. Returns where each task went. Placement is all-or-nothing
+/// Places `count` tasks of `shape` one at a time by best fit, mutating
+/// `machines`: each task goes to the machine that fits it and is left
+/// tightest (max dimension fill) after placing, ties to the lowest index.
+/// Returns where each task went. Placement is all-or-nothing
 /// per *task* but not per job: callers wanting atomic job placement check
 /// Complete() and call UndoPlacement on failure.
 PlacementResult PlaceTasks(std::vector<Machine>& machines,
-                           const TaskShape& shape, int count,
-                           PlacementPolicy policy);
+                           const TaskShape& shape, int count);
 
 /// Reverts a placement previously returned by PlaceTasks with the same
 /// shape. Removes tasks machine by machine in ascending order, so the

@@ -6,9 +6,8 @@
 // machine usage round-trips exactly), the fleet's pool-interning order is
 // saved explicitly (PoolIds are append-only and can diverge from
 // cluster-major order after migrations), RNG engine states resume the
-// exact draw sequence, and the auction history is reduced to the digest
-// the market actually feeds back into future behaviour (auction count and
-// the placement-failure window).
+// exact draw sequence, and the auction history is reduced to a digest
+// (auction count and each award's placement outcome).
 //
 // Snapshot() must be taken at an epoch boundary — no queued external bids
 // (CHECKed) — which is where the federation's epoch supervisor takes it.
@@ -25,7 +24,8 @@ namespace pm::exchange {
 namespace {
 
 // Version 2: placed jobs store sparse (machine, tasks) slots.
-constexpr std::uint32_t kSnapshotVersion = 2;
+// Version 3: the fleet's placement-policy byte is gone (best fit only).
+constexpr std::uint32_t kSnapshotVersion = 3;
 
 // Smallest encoded size of each counted record, for bounding counts read
 // from a frame (strings count as their 4-byte length prefix).
@@ -57,6 +57,15 @@ std::uint32_t ReadCount(net::Deserializer& d, const char* what,
                "market snapshot " << what << " " << n
                                   << " exceeds the frame");
   return n;
+}
+
+// Reads a flag byte, CHECKing that it is canonical (0 or 1), so every
+// accepted frame re-snapshots to its own bytes.
+bool ReadFlag(net::Deserializer& d, const char* what) {
+  const std::uint8_t flag = Req(d.ReadU8(), what);
+  PM_CHECK_MSG(flag <= 1, "market snapshot " << what << " byte "
+                                             << static_cast<int>(flag));
+  return flag == 1;
 }
 
 void WriteShape(net::Serializer& s, const cluster::TaskShape& shape) {
@@ -99,10 +108,9 @@ std::vector<std::uint8_t> Market::Snapshot() const {
   s.WriteU64(next_job_id_);
   WriteRngState(s, rng_.SaveState());
 
-  // Fleet: unit costs, policy, the exact pool-interning order, then every
+  // Fleet: unit costs, the exact pool-interning order, then every
   // cluster with machines (capacity + raw used bits) and placed jobs.
   WriteShape(s, fleet_->unit_costs());
-  s.WriteU8(static_cast<std::uint8_t>(fleet_->policy()));
   const PoolRegistry& registry = fleet_->registry();
   s.WriteU32(static_cast<std::uint32_t>(registry.size()));
   for (PoolId r = 0; r < registry.size(); ++r) {
@@ -186,9 +194,8 @@ std::vector<std::uint8_t> Market::Snapshot() const {
     s.WriteDouble(row.usage);
   }
 
-  // History digest: only what feeds future behaviour — the auction count
-  // and each award's placement outcome (the failure-rate window skips
-  // quota-only awards, so that flag must survive the round trip).
+  // History digest: the auction count (it salts each auction's wire-fault
+  // seed) and each award's placement outcome.
   s.WriteU32(static_cast<std::uint32_t>(history_.size()));
   for (const AuctionReport& report : history_) {
     s.WriteI32(report.auction_index);
@@ -211,14 +218,12 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
                "market snapshot version " << version << " unsupported");
 
   fixed_prices_ = Req(d.ReadDoubleVector(), "fixed prices");
-  endowed_ = Req(d.ReadU8(), "endowed") != 0;
+  endowed_ = ReadFlag(d, "endowed flag");
   next_job_id_ = Req(d.ReadU64(), "next job id");
   rng_.RestoreState(ReadRngState(d));
 
   // Fleet.
   const cluster::TaskShape unit_costs = ReadShape(d);
-  const auto policy =
-      static_cast<cluster::PlacementPolicy>(Req(d.ReadU8(), "policy"));
   const std::uint32_t num_pools = ReadCount(d, "pool count", kPoolBytes);
   std::vector<PoolKey> pool_order;
   pool_order.reserve(num_pools);
@@ -288,8 +293,8 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
     cl.RestoreJobs(std::move(records));
     clusters.push_back(std::move(cl));
   }
-  *fleet_ = cluster::Fleet::FromState(std::move(clusters), pool_order,
-                                      unit_costs, policy);
+  *fleet_ =
+      cluster::Fleet::FromState(std::move(clusters), pool_order, unit_costs);
   PM_CHECK_MSG(fixed_prices_.size() == fleet_->NumPools(),
                "restored fixed prices do not cover the restored pools");
 
@@ -333,7 +338,7 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
   for (std::uint32_t a = 0; a < num_accounts; ++a) {
     std::string name = Req(d.ReadString(), "account name");
     const std::int64_t micros = Req(d.ReadI64(), "account balance");
-    const bool allow_negative = Req(d.ReadU8(), "overdraft flag") != 0;
+    const bool allow_negative = ReadFlag(d, "overdraft flag");
     ledger_.RestoreAccount(std::move(name), Money::FromMicros(micros),
                            allow_negative);
   }
@@ -380,7 +385,7 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
     report.awards.reserve(num_awards);
     for (std::uint32_t a = 0; a < num_awards; ++a) {
       AwardRecord award;
-      award.outcome.quota_only = Req(d.ReadU8(), "award quota flag") != 0;
+      award.outcome.quota_only = ReadFlag(d, "award quota flag");
       award.outcome.awarded_units = Req(d.ReadDouble(), "award units");
       award.outcome.placed_units = Req(d.ReadDouble(), "placed units");
       report.awards.push_back(std::move(award));

@@ -191,15 +191,6 @@ std::vector<ShardView> FederatedExchange::BuildShardViews() const {
       units *= shard->market->supply_fraction();
     }
     view.fixed_prices = shard->market->fixed_prices();
-    // Outcome feedback for the router: the unit-weighted fraction of
-    // recently awarded buys this shard failed to place. Only computed
-    // when the router actually folds it into heat — the scan over
-    // recent awards is wasted work otherwise.
-    view.placement_failure_rate =
-        config_.router.failure_heat_weight > 0.0
-            ? exchange::RecentPlacementFailureRate(
-                  shard->market->History(), config_.router.failure_window)
-            : 0.0;
     // Failure-domain gating: the router refuses quarantined shards and
     // sheds load off degraded/recovering ones.
     view.health = health_[views.size()].status;
@@ -295,7 +286,7 @@ void FederatedExchange::SubmitFederatedBid(FederatedBid bid) {
     }
     PM_CHECK_MSG(known, "unknown home shard '" << bid.home_shard << "'");
   }
-  if (telemetry_ != nullptr && config_.telemetry.trace_bids) {
+  if (telemetry_ != nullptr) {
     // A supervisor re-queue re-enters through pending_ directly and keeps
     // its trace; only a fresh bid opens a lifecycle here.
     if (bid.trace == 0) bid.trace = telemetry_->tracer().NewTrace();
@@ -469,71 +460,69 @@ void FederatedExchange::IngestShardTelemetry(
   // Bid lifecycles: one shard-auction span per routed part, then its
   // settlement fate — the matching award, an explicit gate rejection,
   // or no award at all.
-  if (config_.telemetry.trace_bids) {
-    for (const RoutedBid& routed : routing.routed) {
-      const std::uint64_t trace = epoch_traces[routed.bid_index];
-      if (trace == 0) continue;
-      const std::size_t k = routed.shard;
-      const ShardEpochSummary& s = summaries[k];
-      telemetry::Span& span = telemetry_->EmitSpan(
-          trace, "shard-auction", epoch, static_cast<int>(k));
-      span.attrs.emplace_back("bid", routed.bid.name);
-      if (s.failed) {
-        span.attrs.emplace_back("outcome", "crashed");
-      } else {
-        span.attrs.emplace_back("rounds",
-                                std::to_string(s.report.rounds));
-        span.attrs.emplace_back("converged",
-                                s.report.converged ? "true" : "false");
-      }
-      telemetry_->MirrorSpan(span);
-      if (s.failed) continue;
-
-      const exchange::AwardRecord* award = nullptr;
-      for (const exchange::AwardRecord& a : s.report.awards) {
-        if (a.team == routed.team && a.bid_name == routed.bid.name) {
-          award = &a;
-          break;
-        }
-      }
-      if (award != nullptr) {
-        telemetry::Span& settle = telemetry_->EmitSpan(
-            trace, "settle", epoch, static_cast<int>(k));
-        settle.attrs.emplace_back("bid", routed.bid.name);
-        settle.attrs.emplace_back("payment", FormatF(award->payment, 2));
-        settle.attrs.emplace_back(
-            "placement",
-            std::string(exchange::ToString(award->outcome.status)));
-        if (award->outcome.refund > 0.0) {
-          settle.attrs.emplace_back("refund",
-                                    FormatF(award->outcome.refund, 2));
-        }
-        telemetry_->MirrorSpan(settle);
-        continue;
-      }
-      const exchange::ExternalRejection* rejection = nullptr;
-      for (const exchange::ExternalRejection& rej :
-           s.report.external_rejections) {
-        if (rej.team == routed.team && rej.bid_name == routed.bid.name) {
-          rejection = &rej;
-          break;
-        }
-      }
-      if (rejection != nullptr) {
-        telemetry::Span& rejected = telemetry_->EmitSpan(
-            trace, "reject", epoch, static_cast<int>(k));
-        rejected.attrs.emplace_back("bid", routed.bid.name);
-        rejected.attrs.emplace_back(
-            "reason",
-            std::string(exchange::ToString(rejection->reason)));
-        telemetry_->MirrorSpan(rejected);
-        continue;
-      }
-      telemetry::Span& lost = telemetry_->EmitSpan(
-          trace, "no-award", epoch, static_cast<int>(k));
-      lost.attrs.emplace_back("bid", routed.bid.name);
-      telemetry_->MirrorSpan(lost);
+  for (const RoutedBid& routed : routing.routed) {
+    const std::uint64_t trace = epoch_traces[routed.bid_index];
+    if (trace == 0) continue;
+    const std::size_t k = routed.shard;
+    const ShardEpochSummary& s = summaries[k];
+    telemetry::Span& span = telemetry_->EmitSpan(
+        trace, "shard-auction", epoch, static_cast<int>(k));
+    span.attrs.emplace_back("bid", routed.bid.name);
+    if (s.failed) {
+      span.attrs.emplace_back("outcome", "crashed");
+    } else {
+      span.attrs.emplace_back("rounds",
+                              std::to_string(s.report.rounds));
+      span.attrs.emplace_back("converged",
+                              s.report.converged ? "true" : "false");
     }
+    telemetry_->MirrorSpan(span);
+    if (s.failed) continue;
+
+    const exchange::AwardRecord* award = nullptr;
+    for (const exchange::AwardRecord& a : s.report.awards) {
+      if (a.team == routed.team && a.bid_name == routed.bid.name) {
+        award = &a;
+        break;
+      }
+    }
+    if (award != nullptr) {
+      telemetry::Span& settle = telemetry_->EmitSpan(
+          trace, "settle", epoch, static_cast<int>(k));
+      settle.attrs.emplace_back("bid", routed.bid.name);
+      settle.attrs.emplace_back("payment", FormatF(award->payment, 2));
+      settle.attrs.emplace_back(
+          "placement",
+          std::string(exchange::ToString(award->outcome.status)));
+      if (award->outcome.refund > 0.0) {
+        settle.attrs.emplace_back("refund",
+                                  FormatF(award->outcome.refund, 2));
+      }
+      telemetry_->MirrorSpan(settle);
+      continue;
+    }
+    const exchange::ExternalRejection* rejection = nullptr;
+    for (const exchange::ExternalRejection& rej :
+         s.report.external_rejections) {
+      if (rej.team == routed.team && rej.bid_name == routed.bid.name) {
+        rejection = &rej;
+        break;
+      }
+    }
+    if (rejection != nullptr) {
+      telemetry::Span& rejected = telemetry_->EmitSpan(
+          trace, "reject", epoch, static_cast<int>(k));
+      rejected.attrs.emplace_back("bid", routed.bid.name);
+      rejected.attrs.emplace_back(
+          "reason",
+          std::string(exchange::ToString(rejection->reason)));
+      telemetry_->MirrorSpan(rejected);
+      continue;
+    }
+    telemetry::Span& lost = telemetry_->EmitSpan(
+        trace, "no-award", epoch, static_cast<int>(k));
+    lost.attrs.emplace_back("bid", routed.bid.name);
+    telemetry_->MirrorSpan(lost);
   }
 }
 
@@ -772,32 +761,30 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
       }
       reg.AddCounter("fed_router_parts_placed", telemetry::Labels{},
                      static_cast<double>(routing.routed.size()));
-      if (config_.telemetry.trace_bids) {
-        for (std::size_t i = 0; i < routing.decisions.size(); ++i) {
-          if (epoch_traces[i] == 0) continue;
-          const RouteDecision& decision = routing.decisions[i];
-          telemetry::Span& span =
-              telemetry_->EmitSpan(epoch_traces[i], "route", epoch, -1);
-          span.attrs.emplace_back("policy",
-                                  std::string(ToString(decision.policy)));
-          span.attrs.emplace_back(
-              "parts", std::to_string(decision.shards.size()));
-          span.attrs.emplace_back("spilled",
-                                  decision.spilled ? "true" : "false");
-          if (!decision.shards.empty()) {
-            span.attrs.emplace_back("heat",
-                                    FormatF(decision.preferred_heat, 3));
-          }
+      for (std::size_t i = 0; i < routing.decisions.size(); ++i) {
+        if (epoch_traces[i] == 0) continue;
+        const RouteDecision& decision = routing.decisions[i];
+        telemetry::Span& span =
+            telemetry_->EmitSpan(epoch_traces[i], "route", epoch, -1);
+        span.attrs.emplace_back("policy",
+                                std::string(ToString(decision.policy)));
+        span.attrs.emplace_back(
+            "parts", std::to_string(decision.shards.size()));
+        span.attrs.emplace_back("spilled",
+                                decision.spilled ? "true" : "false");
+        if (!decision.shards.empty()) {
+          span.attrs.emplace_back("heat",
+                                  FormatF(decision.preferred_heat, 3));
         }
-        for (const RoutedBid& routed : routing.routed) {
-          const std::uint64_t trace = epoch_traces[routed.bid_index];
-          if (trace == 0) continue;
-          telemetry::Span& span = telemetry_->EmitSpan(
-              trace, "enqueue", epoch, static_cast<int>(routed.shard));
-          span.attrs.emplace_back("bid", routed.bid.name);
-          span.attrs.emplace_back("limit", FormatF(routed.bid.limit, 2));
-          telemetry_->MirrorSpan(span);
-        }
+      }
+      for (const RoutedBid& routed : routing.routed) {
+        const std::uint64_t trace = epoch_traces[routed.bid_index];
+        if (trace == 0) continue;
+        telemetry::Span& span = telemetry_->EmitSpan(
+            trace, "enqueue", epoch, static_cast<int>(routed.shard));
+        span.attrs.emplace_back("bid", routed.bid.name);
+        span.attrs.emplace_back("limit", FormatF(routed.bid.limit, 2));
+        telemetry_->MirrorSpan(span);
       }
     }
   }
@@ -844,11 +831,8 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
       summaries[k].failure = e.what();
     }
   };
-  if (pool_ != nullptr) {
-    ParallelFor(pool_.get(), 0, shards_.size(), run_shard);
-  } else {
-    for (std::size_t k = 0; k < shards_.size(); ++k) run_shard(k);
-  }
+  // ParallelFor runs the loop inline when pool_ is null.
+  ParallelFor(pool_.get(), 0, shards_.size(), run_shard);
   // One-shot injections are consumed by the epoch that ran them.
   std::fill(inject_fail_.begin(), inject_fail_.end(), 0);
   std::fill(inject_round_budget_.begin(), inject_round_budget_.end(), -1);
@@ -929,7 +913,7 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
         // Containment flight dump: the failed shard's recent ring (the
         // health event above included) plus the full span chain of every
         // traced bid that touched it this epoch.
-        if (summaries[k].failed && config_.telemetry.flight_recorder) {
+        if (summaries[k].failed) {
           std::vector<std::pair<std::uint64_t, std::vector<std::string>>>
               chains;
           for (const RoutedBid& routed : routing.routed) {
@@ -980,10 +964,10 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
 
     // Failed shards' routed federated bids. A bid all of whose parts
     // landed on failed shards is re-queued whole for next epoch's router
-    // pass (reroute_failed_bids); parts whose sibling parts settled on
-    // healthy shards — splits and mirrors — are counted refunded instead
-    // (their money never left the planet ledger, and re-buying them
-    // would double the quantities the healthy parts already won).
+    // pass; parts whose sibling parts settled on healthy shards — splits
+    // and mirrors — are counted refunded instead (their money never left
+    // the planet ledger, and re-buying them would double the quantities
+    // the healthy parts already won).
     for (std::size_t i = 0; i < routing.decisions.size(); ++i) {
       const RouteDecision& decision = routing.decisions[i];
       if (decision.shards.empty()) continue;
@@ -994,18 +978,17 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
       if (failed_parts == 0) continue;
       const std::uint64_t trace =
           telemetry_ != nullptr ? epoch_traces[i] : 0;
-      if (config_.supervisor.reroute_failed_bids &&
-          failed_parts == decision.shards.size()) {
+      if (failed_parts == decision.shards.size()) {
         pending_.push_back(epoch_bids[i]);
         ++health_block.rerouted_bids;
-        if (trace != 0 && config_.telemetry.trace_bids) {
+        if (trace != 0) {
           telemetry::Span& span =
               telemetry_->EmitSpan(trace, "reroute", epoch, -1);
           span.attrs.emplace_back("reason", "every part on a failed shard");
         }
       } else {
         health_block.refunded_bids += failed_parts;
-        if (trace != 0 && config_.telemetry.trace_bids) {
+        if (trace != 0) {
           telemetry::Span& span =
               telemetry_->EmitSpan(trace, "refund-part", epoch, -1);
           span.attrs.emplace_back("failed_parts",
@@ -1059,7 +1042,6 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
     report.arbitrage.holdings_units = arbitrage_->TotalHoldingsUnits();
     report.arbitrage.realized_pnl = arbitrage_->RealizedPnl();
     report.arbitrage.mark_to_market = arbitrage_->MarkToMarket();
-    report.arbitrage.halted = arbitrage_->Halted();
   }
 
   // 5. Settlement sweep: every federated team's shard-local balance is

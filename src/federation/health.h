@@ -46,13 +46,6 @@ struct SupervisorConfig {
   /// quarantine (base, 2·base, 4·base, ...) up to `backoff_cap`.
   int backoff_base = 1;
   int backoff_cap = 8;
-
-  /// What happens to a failed/quarantined shard's routed federated bids:
-  /// true re-queues the original FederatedBids for next epoch's router
-  /// pass over the healthy shards; false drops them (their money was never
-  /// spent — the restore reverted the shard and the treasury refunded the
-  /// float — so "refunded" is bookkeeping, not a transfer).
-  bool reroute_failed_bids = true;
 };
 
 /// One shard's live health record, owned by FederatedExchange and

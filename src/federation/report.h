@@ -60,7 +60,8 @@ struct HealthBlock {
   std::size_t failed_shards = 0;       // Contained failures this epoch.
   std::size_t quarantined_shards = 0;  // Sitting out this epoch.
   std::size_t rerouted_bids = 0;   // Failed shards' bids re-queued.
-  std::size_t refunded_bids = 0;   // Failed shards' bids dropped instead.
+  std::size_t refunded_bids = 0;   // Failed parts of split/mirrored
+                                   // bids with a part settled elsewhere.
   double refunded_allowance = 0.0; // Treasury floats refunded (dollars).
   std::size_t restored_checkpoints = 0;  // Restores performed this epoch.
   /// Post-transition health per shard (index-aligned with shards).
@@ -84,7 +85,6 @@ struct ArbitrageSummary {
   double holdings_units = 0.0;  // Warehoused units across all shards.
   double realized_pnl = 0.0;    // Cumulative realized arbitrage P&L.
   double mark_to_market = 0.0;  // Unrealized value over basis.
-  bool halted = false;          // Drawdown stop suppressing new buys.
 };
 
 /// One whole-cluster migration executed by the fleet rebalancer.

@@ -88,11 +88,6 @@ ShardQuote MarketRouter::Quote(std::size_t shard,
     if (quote.fit == kInf) quote.fit = 0.0;  // Nothing was requested.
     quote.heat =
         quote.fixed_cost > 0.0 ? quote.reserve_cost / quote.fixed_cost : 1.0;
-    // Outcome-aware heat: a shard that recently failed to place awarded
-    // buys is congested below the price signal (machines fragmented or
-    // capacity gone); count that against it.
-    quote.heat *=
-        1.0 + config_.failure_heat_weight * view.placement_failure_rate;
     // Failure-domain shedding: a shard still proving itself after a
     // contained failure reads hotter than its prices claim.
     quote.heat *= 1.0 + health_penalty;

@@ -67,12 +67,6 @@ struct ShardView {
   std::vector<double> reserve_prices;  // Current congestion-weighted p̃.
   std::vector<double> free_capacity;   // Operator-sellable units per pool.
   std::vector<double> fixed_prices;    // Pre-market baseline prices.
-  /// Unit-weighted fraction of recently awarded buy units the shard
-  /// failed to place (exchange::RecentPlacementFailureRate). Folded into
-  /// quote heat when RouterConfig::failure_heat_weight > 0: a shard that
-  /// keeps selling quota it cannot deliver physically is hot in a way
-  /// reserve prices alone do not show.
-  double placement_failure_rate = 0.0;
   /// Failure-domain status from the epoch supervisor. Quarantined shards
   /// quote viable == false (they run no auction this epoch, so routing a
   /// bid there would strand it); degraded and recovering shards shed load
@@ -118,17 +112,6 @@ struct RouterConfig {
 
   /// Copies placed by kMirrored (clamped to the shard count).
   std::size_t mirror_ways = 2;
-
-  // ------------------------------------------------ outcome-aware gates --
-  /// Placement-failure heat: every quote's heat is scaled by
-  /// (1 + failure_heat_weight × shard placement_failure_rate), so shards
-  /// that recently sold quota they could not place read hotter than
-  /// their reserve prices claim. 0 (default) ignores failure rates.
-  double failure_heat_weight = 0.0;
-
-  /// Epochs of shard history the failure rate is averaged over (consumed
-  /// by FederatedExchange::BuildShardViews).
-  int failure_window = 3;
 
   /// Treasury-aware spill: > 0 tightens a bid's effective spill
   /// threshold as the team's remaining planet balance shrinks toward the

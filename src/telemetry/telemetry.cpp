@@ -7,13 +7,18 @@
 #include "common/check.h"
 
 namespace pm::telemetry {
+namespace {
+
+// Flight-recorder ring capacity per shard.
+constexpr std::size_t kFlightRecorderCapacity = 128;
+
+}  // namespace
 
 Telemetry::Telemetry(TelemetryConfig config,
                      std::vector<std::string> shard_names)
     : config_(std::move(config)),
       shard_names_(std::move(shard_names)),
-      recorder_(shard_names_.size(),
-                config_.flight_recorder_capacity) {
+      recorder_(shard_names_.size(), kFlightRecorderCapacity) {
   PM_CHECK_MSG(config_.enabled,
                "construct Telemetry only behind the enabled gate");
   PM_CHECK_MSG(!shard_names_.empty(), "telemetry needs shard names");
@@ -71,7 +76,6 @@ Span& Telemetry::EmitSpan(std::uint64_t trace, std::string name,
 
 void Telemetry::RecordEvent(std::size_t shard, int epoch,
                             std::string line) {
-  if (!config_.flight_recorder) return;
   FlightEvent event;
   event.epoch = epoch;
   event.line = "[e" + std::to_string(epoch) + "] " + std::move(line);
@@ -79,7 +83,7 @@ void Telemetry::RecordEvent(std::size_t shard, int epoch,
 }
 
 void Telemetry::MirrorSpan(const Span& span) {
-  if (!config_.flight_recorder || span.shard < 0) return;
+  if (span.shard < 0) return;
   FlightEvent event;
   event.epoch = span.epoch;
   event.seq = span.seq;

@@ -58,21 +58,13 @@ struct WatchdogConfig {
   bool alerts = false;
 };
 
-/// The gate plus sub-feature toggles (only read when `enabled`).
+/// The gate plus sub-feature toggles (only read when `enabled`). With the
+/// gate on, bid-lifecycle spans and the flight recorder always run.
 struct TelemetryConfig {
   /// Master gate. Off: no telemetry object is constructed, no
   /// instrumentation site does more than one pointer comparison, and all
   /// outputs are bit-identical to a build without the telemetry plane.
   bool enabled = false;
-
-  /// Bid-lifecycle span emission (submit/route/auction/settle/refund).
-  bool trace_bids = true;
-
-  /// Per-shard event rings + supervisor containment dumps.
-  bool flight_recorder = true;
-
-  /// Ring capacity per shard.
-  std::size_t flight_recorder_capacity = 128;
 
   /// The watchdog plane (recording rules + alerts), both gates off by
   /// default. `WatchdogConfig{true, true}` arms the shipped packs.

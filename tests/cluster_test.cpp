@@ -102,27 +102,19 @@ std::vector<Machine> ThreeMachines() {
   return {Machine(kMachine), Machine(kMachine), Machine(kMachine)};
 }
 
-TEST(SchedulerTest, FirstFitPicksLowestIndex) {
+TEST(SchedulerTest, BestFitTiesGoToLowestIndex) {
+  // The first task ties across three empty machines and lands on machine
+  // 0; the second then fits tightest there.
   auto machines = ThreeMachines();
-  const PlacementResult r =
-      PlaceTasks(machines, {4.0, 4.0, 1.0}, 2, PlacementPolicy::kFirstFit);
+  const PlacementResult r = PlaceTasks(machines, {4.0, 4.0, 1.0}, 2);
   EXPECT_TRUE(r.Complete());
   EXPECT_EQ(r.slots, (std::vector<PlacementSlot>{{0, 2}}));
-}
-
-TEST(SchedulerTest, WorstFitSpreadsLoad) {
-  auto machines = ThreeMachines();
-  const PlacementResult r =
-      PlaceTasks(machines, {4.0, 4.0, 1.0}, 3, PlacementPolicy::kWorstFit);
-  EXPECT_TRUE(r.Complete());
-  EXPECT_EQ(r.slots, (std::vector<PlacementSlot>{{0, 1}, {1, 1}, {2, 1}}));
 }
 
 TEST(SchedulerTest, BestFitPacksTightly) {
   auto machines = ThreeMachines();
   machines[1].Place({12.0, 12.0, 1.0});  // Machine 1 is nearly full.
-  const PlacementResult r =
-      PlaceTasks(machines, {4.0, 4.0, 1.0}, 1, PlacementPolicy::kBestFit);
+  const PlacementResult r = PlaceTasks(machines, {4.0, 4.0, 1.0}, 1);
   EXPECT_TRUE(r.Complete());
   // Fills the tight machine first.
   EXPECT_EQ(r.slots, (std::vector<PlacementSlot>{{1, 1}}));
@@ -130,8 +122,7 @@ TEST(SchedulerTest, BestFitPacksTightly) {
 
 TEST(SchedulerTest, ReportsFailuresWhenFull) {
   std::vector<Machine> machines = {Machine({4.0, 4.0, 4.0})};
-  const PlacementResult r =
-      PlaceTasks(machines, {3.0, 1.0, 1.0}, 3, PlacementPolicy::kFirstFit);
+  const PlacementResult r = PlaceTasks(machines, {3.0, 1.0, 1.0}, 3);
   EXPECT_FALSE(r.Complete());
   EXPECT_EQ(r.TotalPlaced(), 1);
   EXPECT_EQ(r.tasks_failed, 2);
@@ -140,18 +131,11 @@ TEST(SchedulerTest, ReportsFailuresWhenFull) {
 TEST(SchedulerTest, UndoRestoresState) {
   auto machines = ThreeMachines();
   const TaskShape task{4.0, 4.0, 1.0};
-  const PlacementResult r =
-      PlaceTasks(machines, task, 5, PlacementPolicy::kWorstFit);
+  const PlacementResult r = PlaceTasks(machines, task, 5);
   UndoPlacement(machines, task, r);
   for (const Machine& m : machines) {
     EXPECT_EQ(m.used().cpu, 0.0);
   }
-}
-
-TEST(SchedulerTest, PolicyNames) {
-  EXPECT_EQ(ToString(PlacementPolicy::kFirstFit), "first-fit");
-  EXPECT_EQ(ToString(PlacementPolicy::kBestFit), "best-fit");
-  EXPECT_EQ(ToString(PlacementPolicy::kWorstFit), "worst-fit");
 }
 
 // ---------------------------------------------------------------- cluster --
@@ -175,14 +159,14 @@ TEST(ClusterTest, HomogeneousConstruction) {
 TEST(ClusterTest, AddJobIsAtomic) {
   Cluster c = Cluster::Homogeneous("c1", 1, {8.0, 32.0, 4.0});
   // 5 tasks of 2 cpu = 10 cpu > 8: must fail and leave no residue.
-  EXPECT_FALSE(c.AddJob(MakeJob(1, "t", 5), PlacementPolicy::kFirstFit));
+  EXPECT_FALSE(c.AddJob(MakeJob(1, "t", 5)));
   EXPECT_EQ(c.Used(ResourceKind::kCpu), 0.0);
   EXPECT_FALSE(c.HasJob(1));
 }
 
 TEST(ClusterTest, AddRemoveRoundTrip) {
   Cluster c = Cluster::Homogeneous("c1", 4, kMachine);
-  EXPECT_TRUE(c.AddJob(MakeJob(7, "team-a"), PlacementPolicy::kBestFit));
+  EXPECT_TRUE(c.AddJob(MakeJob(7, "team-a")));
   EXPECT_TRUE(c.HasJob(7));
   EXPECT_EQ(c.Used(ResourceKind::kCpu), 8.0);
   const auto job = c.RemoveJob(7);
@@ -198,22 +182,22 @@ TEST(ClusterTest, RemoveUnknownJobReturnsNullopt) {
 
 TEST(ClusterTest, DuplicateJobIdThrows) {
   Cluster c = Cluster::Homogeneous("c1", 4, kMachine);
-  ASSERT_TRUE(c.AddJob(MakeJob(1, "a"), PlacementPolicy::kFirstFit));
-  EXPECT_THROW(c.AddJob(MakeJob(1, "b"), PlacementPolicy::kFirstFit),
+  ASSERT_TRUE(c.AddJob(MakeJob(1, "a")));
+  EXPECT_THROW(c.AddJob(MakeJob(1, "b")),
                CheckFailure);
 }
 
 TEST(ClusterTest, JobIdsInInsertionOrder) {
   Cluster c = Cluster::Homogeneous("c1", 8, kMachine);
   for (JobId id : {5, 2, 9}) {
-    ASSERT_TRUE(c.AddJob(MakeJob(id, "t", 1), PlacementPolicy::kBestFit));
+    ASSERT_TRUE(c.AddJob(MakeJob(id, "t", 1)));
   }
   EXPECT_EQ(c.JobIds(), (std::vector<JobId>{5, 2, 9}));
 }
 
 TEST(ClusterTest, UtilizationAggregatesMachines) {
   Cluster c = Cluster::Homogeneous("c1", 2, kMachine);
-  ASSERT_TRUE(c.AddJob(MakeJob(1, "t", 4), PlacementPolicy::kWorstFit));
+  ASSERT_TRUE(c.AddJob(MakeJob(1, "t", 4)));
   // 8 cpu over 32 capacity.
   EXPECT_DOUBLE_EQ(c.Utilization(ResourceKind::kCpu), 0.25);
   EXPECT_DOUBLE_EQ(c.MaxUtilization(),
@@ -515,8 +499,7 @@ TEST(ClusterTotalsTest, FromStateWithShuffledPoolOrder) {
     }
   }
   const Fleet fleet = Fleet::FromState(std::move(clusters), order,
-                                       TaskShape{10.0, 1.5, 0.8},
-                                       PlacementPolicy::kBestFit);
+                                       TaskShape{10.0, 1.5, 0.8});
   ASSERT_EQ(fleet.NumPools(), order.size());
   ExpectFleetMatchesOracles(fleet);
   const std::vector<double> table = fleet.UtilizationPercentiles();

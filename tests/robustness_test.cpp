@@ -280,21 +280,35 @@ TEST(SupervisorTest, FailedShardBidsAreRerouted) {
   EXPECT_EQ(fed.PendingFederatedBids(), 0u);
 }
 
-TEST(SupervisorTest, FailedShardBidsAreRefundedWhenRerouteIsOff) {
+TEST(SupervisorTest, FailedMirrorPartIsRefundedNotRerouted) {
   FederationConfig config;
   config.seed = 17;
   config.supervisor.enabled = true;
-  config.supervisor.reroute_failed_bids = false;
-  config.router.policy = RoutingPolicy::kHomeAffinity;
-  config.router.spill_threshold = 1e9;
-  FederatedExchange fed(ThreeShards(), config);
-  fed.EndowFederatedTeam("globex", Money::FromDollars(50000));
+  config.router.policy = RoutingPolicy::kMirrored;
+  config.router.mirror_ways = 2;
+  const auto submit = [](FederatedExchange& fed) {
+    fed.EndowFederatedTeam("globex", Money::FromDollars(50000));
+    fed.SubmitFederatedBid(SampleBid("globex", "region-0"));
+  };
 
-  fed.SubmitFederatedBid(SampleBid("globex", "region-0"));
-  fed.InjectShardFailure(0);
+  // Routing is deterministic, so a clean twin shows where the mirrors go.
+  FederatedExchange probe(ThreeShards(), config);
+  submit(probe);
+  const FederationReport clean = probe.RunEpoch();
+  ASSERT_EQ(clean.routing.size(), 1u);
+  ASSERT_EQ(clean.routing[0].shards.size(), 2u);
+
+  // One mirror's shard crashes; the other copy settles, so the dead part
+  // is refunded and the bid is not re-queued (re-buying it would double
+  // what the healthy mirror already won).
+  FederatedExchange fed(ThreeShards(), config);
+  submit(fed);
+  fed.InjectShardFailure(clean.routing[0].shards[0]);
   const FederationReport report = fed.RunEpoch();
-  EXPECT_EQ(report.health.rerouted_bids, 0u);
+  EXPECT_EQ(report.routing[0].shards, clean.routing[0].shards);
+  EXPECT_EQ(report.health.failed_shards, 1u);
   EXPECT_EQ(report.health.refunded_bids, 1u);
+  EXPECT_EQ(report.health.rerouted_bids, 0u);
   EXPECT_EQ(fed.PendingFederatedBids(), 0u);
 }
 
