@@ -124,10 +124,24 @@ std::vector<QuotaTable::Row> QuotaTable::ExportRows() const {
   return rows;
 }
 
-void QuotaTable::RestoreRows(const std::vector<Row>& rows) {
+void QuotaTable::RestoreRows(const std::vector<Row>& rows,
+                             const std::size_t num_pools) {
   PM_CHECK_MSG(table_.empty() && team_order_.empty(),
                "RestoreRows into a non-empty quota table");
-  for (const Row& row : rows) {
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& row = rows[i];
+    PM_CHECK_MSG(row.pool < num_pools, "quota row of team '"
+                                           << row.team << "' for pool "
+                                           << row.pool << " of " << num_pools);
+    if (i > 0 && rows[i - 1].team == row.team) {
+      PM_CHECK_MSG(rows[i - 1].pool < row.pool,
+                   "quota rows of team '" << row.team
+                                          << "' are not strictly ascending");
+    } else {
+      PM_CHECK_MSG(table_.find(row.team) == table_.end(),
+                   "quota rows of team '" << row.team
+                                          << "' are not contiguous");
+    }
     Cell& cell = CellOf(row.team, row.pool);
     cell.entitlement = row.entitlement;
     cell.usage = row.usage;

@@ -84,8 +84,11 @@ class QuotaTable {
   std::vector<Row> ExportRows() const;
 
   /// Checkpoint restore into an empty table: replays rows so team order
-  /// and cell values round-trip exactly.
-  void RestoreRows(const std::vector<Row>& rows);
+  /// and cell values round-trip exactly. The rows must be in ExportRows'
+  /// order (each team's rows contiguous, pools strictly ascending) and
+  /// name pools below `num_pools`; anything else CHECK-fails, so every
+  /// accepted input exports back to itself.
+  void RestoreRows(const std::vector<Row>& rows, std::size_t num_pools);
 
  private:
   struct Cell {

@@ -6,8 +6,8 @@
 // machine usage round-trips exactly), the fleet's pool-interning order is
 // saved explicitly (PoolIds are append-only and can diverge from
 // cluster-major order after migrations), RNG engine states resume the
-// exact draw sequence, and the auction history is reduced to a digest
-// (auction count and each award's placement outcome).
+// exact draw sequence, and the auction history is reduced to its auction
+// count.
 //
 // Snapshot() must be taken at an epoch boundary — no queued external bids
 // (CHECKed) — which is where the federation's epoch supervisor takes it.
@@ -25,7 +25,13 @@ namespace {
 
 // Version 2: placed jobs store sparse (machine, tasks) slots.
 // Version 3: the fleet's placement-policy byte is gone (best fit only).
-constexpr std::uint32_t kSnapshotVersion = 3;
+// Version 4: the history is the auction count alone, no award outcomes.
+constexpr std::uint32_t kSnapshotVersion = 4;
+
+// Restore rebuilds one stub report per past auction, so a corrupt count
+// must not size an unbounded allocation: 2^20 auctions is over a century
+// of hourly epochs.
+constexpr std::uint32_t kMaxAuctions = 1u << 20;
 
 // Smallest encoded size of each counted record, for bounding counts read
 // from a frame (strings count as their 4-byte length prefix).
@@ -37,8 +43,6 @@ constexpr std::size_t kJobBytes = 8 + 4 + kShapeBytes + 4 + 4 + 4;
 constexpr std::size_t kSlotBytes = 4 + 4;
 constexpr std::size_t kJournalBytes = 4 + 4 + 8 + 4 + 4;
 constexpr std::size_t kQuotaRowBytes = 4 + 4 + 8 + 8;
-constexpr std::size_t kReportBytes = 4 + 4;
-constexpr std::size_t kAwardBytes = 1 + 8 + 8;
 
 template <typename T>
 T Req(std::optional<T> v, const char* what) {
@@ -194,18 +198,8 @@ std::vector<std::uint8_t> Market::Snapshot() const {
     s.WriteDouble(row.usage);
   }
 
-  // History digest: the auction count (it salts each auction's wire-fault
-  // seed) and each award's placement outcome.
+  // The auction count: it salts each auction's wire-fault seed.
   s.WriteU32(static_cast<std::uint32_t>(history_.size()));
-  for (const AuctionReport& report : history_) {
-    s.WriteI32(report.auction_index);
-    s.WriteU32(static_cast<std::uint32_t>(report.awards.size()));
-    for (const AwardRecord& award : report.awards) {
-      s.WriteU8(award.outcome.quota_only ? 1 : 0);
-      s.WriteDouble(award.outcome.awarded_units);
-      s.WriteDouble(award.outcome.placed_units);
-    }
-  }
 
   return std::move(s).FinishWithChecksum();
 }
@@ -371,26 +365,17 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
     rows.push_back(std::move(row));
   }
   quota_ = cluster::QuotaTable();
-  quota_.RestoreRows(rows);
+  quota_.RestoreRows(rows, fleet_->NumPools());
 
-  // History digest.
-  const std::uint32_t num_reports = ReadCount(d, "history size", kReportBytes);
-  history_.clear();
-  history_.reserve(num_reports);
-  for (std::uint32_t i = 0; i < num_reports; ++i) {
-    AuctionReport report;
-    report.auction_index = Req(d.ReadI32(), "history auction index");
-    const std::uint32_t num_awards =
-        ReadCount(d, "history awards", kAwardBytes);
-    report.awards.reserve(num_awards);
-    for (std::uint32_t a = 0; a < num_awards; ++a) {
-      AwardRecord award;
-      award.outcome.quota_only = ReadFlag(d, "award quota flag");
-      award.outcome.awarded_units = Req(d.ReadDouble(), "award units");
-      award.outcome.placed_units = Req(d.ReadDouble(), "placed units");
-      report.awards.push_back(std::move(award));
-    }
-    history_.push_back(std::move(report));
+  // History: one stub report per past auction, so AuctionCount() and
+  // the next auction's index resume where the snapshot left off.
+  const std::uint32_t num_auctions = Req(d.ReadU32(), "auction count");
+  PM_CHECK_MSG(num_auctions <= kMaxAuctions,
+               "market snapshot auction count " << num_auctions
+                                                << " exceeds " << kMaxAuctions);
+  history_.assign(num_auctions, AuctionReport{});
+  for (std::uint32_t i = 0; i < num_auctions; ++i) {
+    history_[i].auction_index = static_cast<int>(i);
   }
 
   PM_CHECK_MSG(d.Exhausted(), "market snapshot has trailing bytes");

@@ -91,16 +91,15 @@ FederatedExchange::FederatedExchange(std::vector<ShardSpec> specs,
   inject_fail_.assign(shards_.size(), 0);
   inject_round_budget_.assign(shards_.size(), -1);
 
+  std::vector<std::string> names;
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    names.push_back(shard->name);
+  }
   // Telemetry plane. Null when the gate is off, so every instrumentation
   // site in the epoch loop costs one pointer test and nothing else.
   if (config_.telemetry.enabled) {
-    std::vector<std::string> names;
-    names.reserve(shards_.size());
-    for (const std::unique_ptr<Shard>& shard : shards_) {
-      names.push_back(shard->name);
-    }
-    telemetry_ = std::make_unique<telemetry::Telemetry>(config_.telemetry,
-                                                        std::move(names));
+    telemetry_ =
+        std::make_unique<telemetry::Telemetry>(config_.telemetry, names);
   }
 
   // Economy layer. Everything stays null when disabled so the epoch loop
@@ -111,11 +110,6 @@ FederatedExchange::FederatedExchange(std::vector<ShardSpec> specs,
                  "planet currency (set EconomyConfig::treasury)");
   }
   if (config_.economy.treasury) {
-    std::vector<std::string> names;
-    names.reserve(shards_.size());
-    for (const std::unique_ptr<Shard>& shard : shards_) {
-      names.push_back(shard->name);
-    }
     treasury_ = std::make_unique<FederationTreasury>(std::move(names));
   }
   if (config_.economy.arbitrage.enabled) {
@@ -217,18 +211,6 @@ void FederatedExchange::InjectEpochRoundBudget(std::size_t shard,
   inject_round_budget_[shard] = max_rounds;
 }
 
-void FederatedExchange::EmergencySweep(int epoch) {
-  if (treasury_ == nullptr) return;
-  const std::string memo =
-      "emergency sweep epoch " + std::to_string(epoch);
-  for (const std::string& team : treasury_->Teams()) {
-    for (std::size_t k = 0; k < shards_.size(); ++k) {
-      const Money remaining = shards_[k]->market->WithdrawTeam(team, memo);
-      treasury_->Sweep(team, k, remaining, epoch);
-    }
-  }
-}
-
 std::vector<const cluster::Fleet*> FederatedExchange::ShardFleets() const {
   std::vector<const cluster::Fleet*> fleets;
   fleets.reserve(shards_.size());
@@ -310,7 +292,7 @@ FederationReport FederatedExchange::RunEpoch() {
     try {
       return RunEpochInternal(epoch);
     } catch (...) {
-      EmergencySweep(epoch);
+      SweepFloats(epoch, "emergency sweep epoch " + std::to_string(epoch));
       throw;
     }
   }
@@ -322,165 +304,457 @@ void FederatedExchange::RunEpochs(const int n) {
   for (int i = 0; i < n; ++i) RunEpoch();
 }
 
-void FederatedExchange::IngestShardTelemetry(
-    const int epoch, const std::vector<ShardEpochSummary>& summaries,
-    const RoutingResult& routing,
-    const std::vector<std::uint64_t>& epoch_traces) {
+/// One epoch's working set. RunEpochInternal builds it and hands it to
+/// the phases in order; each field is written by the phase named beside
+/// it and read only by later phases.
+struct FederatedExchange::EpochState {
+  int epoch = 0;
+  // Profiler wall channel: federation-track spans are recorded on the
+  // single epoch thread. Null when unarmed.
+  telemetry::PhaseProfiler* prof = nullptr;
+  std::size_t fed_track = 0;
+  // Checkpoint: the epoch-boundary frame of each active shard
+  // (supervised epochs only).
+  std::vector<std::vector<std::uint8_t>> checkpoints;
+  // PlanArbitrage or Route, whichever runs first: one coherent
+  // pre-auction snapshot. Prices and free capacity only move at auction
+  // time, so the two share it, and an epoch with neither pays nothing
+  // (the snapshot costs a reserve-pricing pass per shard).
+  std::vector<ShardView> views;
+  // PlanArbitrage: bids that actually reached a shard's gate.
+  std::size_t arb_buys = 0;
+  std::size_t arb_sells = 0;
+  // Route: the epoch's federated bids, moved out of pending_ once and
+  // index-aligned with routing.decisions (RoutedBid::bid_index points
+  // here too). Containment moves a failed bid back into pending_.
+  std::vector<FederatedBid> bids;
+  RoutingResult routing;
+  // RunShards; Contain stamps each shard's post-transition health.
+  std::vector<ShardEpochSummary> summaries;
+  // Contain.
+  HealthBlock health;
+
+  telemetry::ScopedSpan Span(const char* name) const {
+    return telemetry::ScopedSpan(prof, fed_track, epoch, name);
+  }
+};
+
+FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
+  EpochState s;
+  s.epoch = epoch;
+  if (telemetry_ != nullptr && config_.telemetry.profiler.wall_clock) {
+    s.prof = telemetry_->profiler();
+    s.fed_track = s.prof->federation_track();
+  }
+  // The one per-epoch wall time the system records.
+  telemetry::ScopedSpan epoch_span = s.Span("epoch");
+  Checkpoint(s);
+  FundShards(s);
+  PlanArbitrage(s);
+  Route(s);
+  RunShards(s);
+
+  // The barrier: the shard auctions are done and the epoch is
+  // single-threaded again, so every write from here on is deterministic
+  // and ordered by shard index, however the shards were scheduled.
+  telemetry::ScopedSpan barrier_span = s.Span("barrier");
+  IngestTelemetry(s);
+  Contain(s);
+  FederationReport report = Merge(s);
+  Sweep(s, report);
+  Rebalance(s, report);
+  CloseEpochTelemetry(s, report);
+  barrier_span.Stop();
+  epoch_span.Stop();
+
+  history_.push_back(std::move(report));
+  return history_.back();
+}
+
+void FederatedExchange::Checkpoint(EpochState& s) {
+  // Quarantined shards drain their backoff and sit the epoch out; one
+  // that has drained moves to recovering and rejoins. Active shards are
+  // checkpointed *before* any epoch mutation (allowance endowments
+  // included), so a contained failure can roll the shard back to the
+  // epoch boundary and RefundAllowance squares the planet ledger. Only
+  // the supervisor ever clears `active`.
+  if (!config_.supervisor.enabled) return;
+  for (ShardHealthStatus& h : health_) {
+    if (h.status == ShardHealth::kQuarantined) {
+      if (h.backoff_remaining > 0) {
+        --h.backoff_remaining;
+        h.active = false;
+      } else {
+        h.status = ShardHealth::kRecovering;
+        ++h.retries;
+        h.active = true;
+      }
+    } else {
+      h.active = true;
+    }
+  }
+  // The transitions above run serially, the snapshots concurrently:
+  // shards share no mutable state and Snapshot() is const. ParallelFor
+  // runs the loop inline when pool_ is null.
+  telemetry::ScopedSpan span = s.Span("checkpoint");
+  s.checkpoints.resize(shards_.size());
+  ParallelFor(pool_.get(), 0, shards_.size(), [&](std::size_t k) {
+    if (health_[k].active) s.checkpoints[k] = shards_[k]->market->Snapshot();
+  });
+}
+
+void FederatedExchange::FundShards(const EpochState& s) {
+  // Push this epoch's shard allowances (planet account → shard float →
+  // shard-local endowment), teams in registration order, shards by
+  // index — deterministic, and clamped to each team's planet balance so
+  // no push can create money.
+  if (treasury_ == nullptr) return;
+  const std::string memo = "treasury allowance epoch " +
+                           std::to_string(s.epoch);
+  for (const FederatedTeam& team : federated_teams_) {
+    // An underfunded team's remaining planet balance is divided evenly
+    // (to the micro-dollar) across shards, so shard 0 cannot drain the
+    // pot before later shards are funded at all.
+    const std::vector<Money> fair_share = exchange::SplitEvenly(
+        treasury_->PlanetBalance(team.team), shards_.size());
+    for (std::size_t k = 0; k < shards_.size(); ++k) {
+      // Quarantined shards run no auction: money pushed there would sit
+      // uselessly in the float all epoch.
+      if (!health_[k].active) continue;
+      const Money granted = treasury_->PushAllowance(
+          team.team, k, std::min(team.per_shard_allowance, fair_share[k]),
+          s.epoch);
+      if (!granted.IsZero()) {
+        shards_[k]->market->EndowTeam(team.team, granted, memo);
+      }
+    }
+  }
+}
+
+void FederatedExchange::PlanArbitrage(EpochState& s) {
+  // Plan from the previous epoch's clearing prices, fund each buy from
+  // the margin account (clamped to what is left of it), and enter the
+  // bids through the shards' external-bid gates. The first epoch has no
+  // price signal, so the agent sits it out.
+  if (arbitrage_ == nullptr || history_.empty()) return;
+  if (s.views.empty()) s.views = BuildShardViews();
+  std::vector<ArbitragePlan> plans =
+      arbitrage_->PlanEpoch(&history_.back(), s.views, ShardFleets(),
+                            s.epoch);
+  for (ArbitragePlan& plan : plans) {
+    // A bid submitted to a quarantined shard would be stranded in its
+    // external queue (no auction runs to consume it) and poison the
+    // shard's next checkpoint.
+    if (!health_[plan.shard].active) continue;
+    if (plan.is_buy) {
+      const Money granted = treasury_->PushAllowance(
+          arbitrage_->team(), plan.shard, plan.funding, s.epoch);
+      if (granted.IsZero()) continue;  // Margin exhausted: skip the buy.
+      shards_[plan.shard]->market->EndowTeam(
+          arbitrage_->team(), granted,
+          "arbitrage margin epoch " + std::to_string(s.epoch));
+      // Cap the bid at ITS OWN funding, not the team's shard balance:
+      // the market's gate clamps to the total balance, so two partially
+      // funded buys in one shard could otherwise win for more than the
+      // margin granted and settle as a local overdraft.
+      plan.bid.limit = std::min(plan.bid.limit, granted.ToDouble());
+      ++s.arb_buys;
+    } else {
+      ++s.arb_sells;
+    }
+    shards_[plan.shard]->market->SubmitExternalBid(
+        exchange::Market::ExternalBid{arbitrage_->team(), plan.bid});
+  }
+}
+
+void FederatedExchange::Route(EpochState& s) {
+  // The queued federated bids become per-shard external bids, placed
+  // against the shared snapshot.
+  if (pending_.empty()) return;
+  telemetry::ScopedSpan span = s.Span("route");
+  if (s.views.empty()) s.views = BuildShardViews();
+  MarketRouter router(config_.router, std::move(s.views));
+  if (treasury_ != nullptr && config_.router.budget_pressure > 0.0) {
+    // Treasury-aware routing: a team low on planet money spills to
+    // cheaper shards earlier (its effective spill threshold tightens
+    // with its remaining balance).
+    std::unordered_map<std::string, double> balances;
+    for (const std::string& team : treasury_->Teams()) {
+      balances.emplace(team, treasury_->PlanetBalance(team).ToDouble());
+    }
+    s.routing = router.Route(pending_, balances);
+  } else {
+    s.routing = router.Route(pending_);
+  }
+  s.bids = std::move(pending_);
+  pending_.clear();
+  // Batched per-shard submission: one gate call per shard instead of
+  // one per routed part, keeping each shard's intra-batch order (the
+  // routed order) — bid order inside every market is unchanged.
+  std::vector<std::vector<exchange::Market::ExternalBid>> batches(
+      shards_.size());
+  for (const RoutedBid& routed : s.routing.routed) {
+    batches[routed.shard].push_back(
+        exchange::Market::ExternalBid{routed.team, routed.bid});
+  }
+  for (std::size_t k = 0; k < shards_.size(); ++k) {
+    if (!batches[k].empty()) {
+      shards_[k]->market->SubmitExternalBids(std::move(batches[k]));
+    }
+  }
+  TraceRouting(s);
+}
+
+void FederatedExchange::TraceRouting(const EpochState& s) {
+  // Router decisions and spill reasons (single-threaded — the shard
+  // auctions have not started).
   if (telemetry_ == nullptr) return;
   telemetry::MetricsRegistry& reg = telemetry_->registry();
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    const ShardEpochSummary& s = summaries[k];
-    telemetry::Labels by_shard;
-    by_shard.shard = shards_[k]->name;
-    if (!s.participated) {
-      telemetry_->RecordEvent(k, epoch, "quarantined: sat the epoch out");
-      continue;
-    }
-    if (s.failed) {
-      reg.AddCounter("fed_shard_failures", by_shard, 1.0);
-      telemetry_->RecordEvent(k, epoch, "auction crashed: " + s.failure);
-      continue;
-    }
-    const exchange::AuctionReport& r = s.report;
-    // Hot-path counters surfaced through the report chain (DemandEngine
-    // workspace → ClockAuctionResult → AuctionReport) — nothing here
-    // ever executed inside the auction loops.
-    reg.AddCounter("fed_auction_rounds", by_shard,
-                   static_cast<double>(r.rounds));
-    reg.AddCounter("fed_demand_evaluations", by_shard,
-                   static_cast<double>(r.demand_evaluations));
-    reg.AddCounter("fed_proxies_reevaluated", by_shard,
-                   static_cast<double>(r.proxies_reevaluated));
-    reg.AddCounter("fed_bisection_probes", by_shard,
-                   static_cast<double>(r.bisection_probes));
-    {
-      telemetry::Labels by_phase = by_shard;
-      by_phase.phase = "full";
-      reg.AddCounter("fed_engine_collections", by_phase,
-                     static_cast<double>(r.full_collections));
-      by_phase.phase = "incremental";
-      reg.AddCounter("fed_engine_collections", by_phase,
-                     static_cast<double>(r.incremental_collections));
-    }
-    reg.AddCounter("fed_bids_seen", by_shard,
-                   static_cast<double>(r.num_bids));
-    reg.AddCounter("fed_winners", by_shard,
-                   static_cast<double>(r.num_winners));
-    reg.AddCounter("fed_external_rejections", by_shard,
-                   static_cast<double>(r.external_rejected));
-    // Revenue is a net flow (sell-side payouts can push it negative in
-    // an epoch), so it is a per-epoch gauge, not a monotone counter;
-    // the snapshot series carries its history.
-    reg.SetGauge("fed_operator_revenue_dollars", by_shard,
-                 r.operator_revenue);
-    reg.AddCounter("fed_placement_failures", by_shard,
-                   static_cast<double>(r.placement_failures));
-    reg.AddCounter("fed_partial_placements", by_shard,
-                   static_cast<double>(r.partial_placements));
-    reg.AddCounter("fed_refund_dollars", by_shard, r.refund_total);
-    reg.AddCounter("fed_move_billing_dollars", by_shard,
-                   r.move_billing_total);
-    reg.AddCounter("fed_jobs_added", by_shard,
-                   static_cast<double>(r.jobs_added));
-    reg.AddCounter("fed_jobs_removed", by_shard,
-                   static_cast<double>(r.jobs_removed));
-    reg.AddCounter("fed_transport_messages", by_shard,
-                   static_cast<double>(r.transport_messages));
-    reg.AddCounter("fed_transport_bytes", by_shard,
-                   static_cast<double>(r.transport_bytes));
-    reg.SetGauge("fed_utilization_spread", by_shard,
-                 exchange::UtilizationSpread(r.post_utilization));
-    reg.SetGauge("fed_rounds_last_epoch", by_shard,
-                 static_cast<double>(r.rounds));
-    const PoolRegistry& pools = shards_[k]->world.fleet.registry();
-    for (std::size_t p = 0; p < r.settled_prices.size(); ++p) {
-      telemetry::Labels by_kind = by_shard;
-      by_kind.kind = std::string(
-          ToString(pools.KeyOf(static_cast<PoolId>(p)).kind));
-      reg.Observe("fed_clearing_price", by_kind, r.settled_prices[p],
-                  /*lo=*/0.0, /*hi=*/50.0, /*bins=*/25);
-      if (config_.telemetry.watchdog.recording_rules) {
-        // The watchdog's point-in-time price surface: the histogram
-        // above keeps the distribution, the rule engine and console
-        // need this epoch's exact price per (shard, kind).
-        reg.SetGauge("fed_clearing_price_dollars", by_kind,
-                     r.settled_prices[p]);
+  for (const RouteDecision& decision : s.routing.decisions) {
+    telemetry::Labels by_policy;
+    by_policy.phase = std::string(ToString(decision.policy));
+    if (decision.shards.empty()) {
+      reg.AddCounter("fed_router_unroutable", by_policy, 1.0);
+    } else {
+      reg.AddCounter("fed_router_bids_routed", by_policy, 1.0);
+      if (decision.spilled) {
+        reg.AddCounter("fed_router_spills", by_policy, 1.0);
       }
     }
-    if (config_.telemetry.watchdog.recording_rules) {
-      // Awarded buy-side dollars, the refund-storm denominator.
-      // Monotone by construction (payments clamp at zero).
-      double awarded = 0.0;
-      for (const exchange::AwardRecord& a : r.awards) {
-        awarded += std::max(0.0, a.payment);
-      }
-      reg.AddCounter("fed_awarded_dollars", by_shard, awarded);
-    }
-    if (config_.telemetry.profiler.work_accounting) {
-      // The profiler's deterministic work-accounting channel: logical
-      // cost counters for this shard-epoch, plus the per-(epoch, shard)
-      // work tree the flight recorder attaches to containment dumps.
-      reg.AddCounter("fed_work_dot_blocks", by_shard,
-                     static_cast<double>(r.dot_blocks));
-      reg.AddCounter("fed_work_dirty_bidders", by_shard,
-                     static_cast<double>(r.dirty_bidders));
-      reg.AddCounter("fed_work_refund_ops", by_shard,
-                     static_cast<double>(r.refund_ops));
-      reg.AddCounter("fed_work_wire_retries", by_shard,
-                     static_cast<double>(r.wire_frames_retried));
-      reg.AddCounter("fed_work_wire_dedups", by_shard,
-                     static_cast<double>(r.wire_frames_deduped));
-      telemetry::WorkCounters work;
-      work.dot_blocks = r.dot_blocks;
-      work.dirty_bidders = r.dirty_bidders;
-      work.bisection_probes = r.bisection_probes;
-      work.full_collections = r.full_collections;
-      work.incremental_collections = r.incremental_collections;
-      work.wire_retries = r.wire_frames_retried;
-      work.wire_dedups = r.wire_frames_deduped;
-      work.refund_ops = static_cast<long long>(r.refund_ops);
-      telemetry_->profiler()->RecordWork(epoch, k, std::move(work));
-    }
-    if (config_.telemetry.profiler.wall_clock) {
-      // Wall channel: the shard's collect/bisect/settle spans were
-      // measured on the worker thread but ride the report; copying them
-      // here keeps every profiler mutation at the barrier.
-      for (const PhaseSpan& span : r.phases) {
-        telemetry_->profiler()->AddSpan(k, epoch, span);
-      }
-    }
-    telemetry_->RecordEvent(
-        k, epoch,
-        "auction: rounds=" + std::to_string(r.rounds) +
-            " bids=" + std::to_string(r.num_bids) + " winners=" +
-            std::to_string(r.num_winners) +
-            (r.converged ? "" : " (unconverged)"));
   }
+  reg.AddCounter("fed_router_parts_placed", telemetry::Labels{},
+                 static_cast<double>(s.routing.routed.size()));
+  for (std::size_t i = 0; i < s.routing.decisions.size(); ++i) {
+    if (s.bids[i].trace == 0) continue;
+    const RouteDecision& decision = s.routing.decisions[i];
+    telemetry::Span& span =
+        telemetry_->EmitSpan(s.bids[i].trace, "route", s.epoch, -1);
+    span.attrs.emplace_back("policy", std::string(ToString(decision.policy)));
+    span.attrs.emplace_back("parts", std::to_string(decision.shards.size()));
+    span.attrs.emplace_back("spilled", decision.spilled ? "true" : "false");
+    if (!decision.shards.empty()) {
+      span.attrs.emplace_back("heat", FormatF(decision.preferred_heat, 3));
+    }
+  }
+  for (const RoutedBid& routed : s.routing.routed) {
+    const std::uint64_t trace = s.bids[routed.bid_index].trace;
+    if (trace == 0) continue;
+    telemetry::Span& span = telemetry_->EmitSpan(
+        trace, "enqueue", s.epoch, static_cast<int>(routed.shard));
+    span.attrs.emplace_back("bid", routed.bid.name);
+    span.attrs.emplace_back("limit", FormatF(routed.bid.limit, 2));
+    telemetry_->MirrorSpan(span);
+  }
+}
 
+void FederatedExchange::RunShards(EpochState& s) {
+  // Shards share no mutable state, so the rounds run concurrently; each
+  // shard's work is sequential within the shard, which keeps results
+  // bit-identical across thread counts. Under supervision each shard
+  // epoch runs inside a containment boundary: the catch is INSIDE the
+  // per-shard lambda (ParallelFor only rethrows the first exception
+  // after every chunk finishes, which would lose all but one failure
+  // and kill the whole epoch), so a failed shard records its fault and
+  // the planet epoch completes without it.
+  const bool supervised = config_.supervisor.enabled;
+  s.summaries.resize(shards_.size());
+  const auto run_shard = [&](std::size_t k) {
+    ShardEpochSummary& summary = s.summaries[k];
+    summary.shard = k;
+    summary.name = shards_[k]->name;
+    if (!health_[k].active) {
+      summary.participated = false;
+      return;
+    }
+    const auto run_one = [&] {
+      exchange::AuctionReport r = shards_[k]->market->RunAuction();
+      // Injected crash: the auction ran to completion and mutated the
+      // shard before the fault lands — the worst case for containment.
+      PM_CHECK_MSG(inject_fail_[k] == 0,
+                   "injected failure: shard " << k << " ('"
+                       << shards_[k]->name << "') crashed mid-epoch");
+      const int budget = inject_round_budget_[k];
+      PM_CHECK_MSG(budget < 0 || r.rounds <= budget,
+                   "epoch budget exceeded: shard "
+                       << k << " ('" << shards_[k]->name << "') took "
+                       << r.rounds << " rounds (budget " << budget
+                       << ")");
+      summary.report = std::move(r);
+    };
+    if (!supervised) {
+      run_one();  // Failures propagate (first rethrown by ParallelFor).
+      return;
+    }
+    try {
+      run_one();
+    } catch (const std::exception& e) {
+      summary.failed = true;
+      summary.failure = e.what();
+    }
+  };
+  // ParallelFor runs the loop inline when pool_ is null.
+  ParallelFor(pool_.get(), 0, shards_.size(), run_shard);
+  // One-shot injections are consumed by the epoch that ran them.
+  std::fill(inject_fail_.begin(), inject_fail_.end(), 0);
+  std::fill(inject_round_budget_.begin(), inject_round_budget_.end(), -1);
+}
+
+void FederatedExchange::IngestTelemetry(const EpochState& s) {
+  // Runs BEFORE Contain so a failed shard's flight dump can include its
+  // auction-phase spans and events.
+  telemetry::ScopedSpan span = s.Span("ingest");
+  if (telemetry_ == nullptr) return;
+  for (std::size_t k = 0; k < shards_.size(); ++k) {
+    const ShardEpochSummary& summary = s.summaries[k];
+    if (!summary.participated) {
+      telemetry_->RecordEvent(k, s.epoch, "quarantined: sat the epoch out");
+    } else if (summary.failed) {
+      telemetry::Labels by_shard;
+      by_shard.shard = shards_[k]->name;
+      telemetry_->registry().AddCounter("fed_shard_failures", by_shard, 1.0);
+      telemetry_->RecordEvent(k, s.epoch,
+                              "auction crashed: " + summary.failure);
+    } else {
+      IngestShardMetrics(s.epoch, k, summary.report);
+    }
+  }
+  TraceBidOutcomes(s);
+}
+
+void FederatedExchange::IngestShardMetrics(
+    const int epoch, const std::size_t k, const exchange::AuctionReport& r) {
+  telemetry::MetricsRegistry& reg = telemetry_->registry();
+  telemetry::Labels by_shard;
+  by_shard.shard = shards_[k]->name;
+  // Hot-path counters surfaced through the report chain (DemandEngine
+  // workspace → ClockAuctionResult → AuctionReport) — nothing here
+  // ever executed inside the auction loops.
+  const std::pair<const char*, double> counters[] = {
+      {"fed_auction_rounds", static_cast<double>(r.rounds)},
+      {"fed_demand_evaluations", static_cast<double>(r.demand_evaluations)},
+      {"fed_proxies_reevaluated", static_cast<double>(r.proxies_reevaluated)},
+      {"fed_bisection_probes", static_cast<double>(r.bisection_probes)},
+      {"fed_bids_seen", static_cast<double>(r.num_bids)},
+      {"fed_winners", static_cast<double>(r.num_winners)},
+      {"fed_external_rejections", static_cast<double>(r.external_rejected)},
+      {"fed_placement_failures", static_cast<double>(r.placement_failures)},
+      {"fed_partial_placements", static_cast<double>(r.partial_placements)},
+      {"fed_refund_dollars", r.refund_total},
+      {"fed_move_billing_dollars", r.move_billing_total},
+      {"fed_jobs_added", static_cast<double>(r.jobs_added)},
+      {"fed_jobs_removed", static_cast<double>(r.jobs_removed)},
+      {"fed_transport_messages", static_cast<double>(r.transport_messages)},
+      {"fed_transport_bytes", static_cast<double>(r.transport_bytes)},
+  };
+  for (const auto& [name, value] : counters) {
+    reg.AddCounter(name, by_shard, value);
+  }
+  telemetry::Labels by_phase = by_shard;
+  by_phase.phase = "full";
+  reg.AddCounter("fed_engine_collections", by_phase,
+                 static_cast<double>(r.full_collections));
+  by_phase.phase = "incremental";
+  reg.AddCounter("fed_engine_collections", by_phase,
+                 static_cast<double>(r.incremental_collections));
+  // Revenue is a net flow (sell-side payouts can push it negative in
+  // an epoch), so it is a per-epoch gauge, not a monotone counter;
+  // the snapshot series carries its history.
+  reg.SetGauge("fed_operator_revenue_dollars", by_shard,
+               r.operator_revenue);
+  reg.SetGauge("fed_utilization_spread", by_shard,
+               exchange::UtilizationSpread(r.post_utilization));
+  reg.SetGauge("fed_rounds_last_epoch", by_shard,
+               static_cast<double>(r.rounds));
+  const PoolRegistry& pools = shards_[k]->world.fleet.registry();
+  for (std::size_t p = 0; p < r.settled_prices.size(); ++p) {
+    telemetry::Labels by_kind = by_shard;
+    by_kind.kind = std::string(
+        ToString(pools.KeyOf(static_cast<PoolId>(p)).kind));
+    reg.Observe("fed_clearing_price", by_kind, r.settled_prices[p],
+                /*lo=*/0.0, /*hi=*/50.0, /*bins=*/25);
+    if (config_.telemetry.watchdog.recording_rules) {
+      // The watchdog's point-in-time price surface: the histogram
+      // above keeps the distribution, the rule engine and console
+      // need this epoch's exact price per (shard, kind).
+      reg.SetGauge("fed_clearing_price_dollars", by_kind,
+                   r.settled_prices[p]);
+    }
+  }
+  if (config_.telemetry.watchdog.recording_rules) {
+    // Awarded buy-side dollars, the refund-storm denominator.
+    // Monotone by construction (payments clamp at zero).
+    double awarded = 0.0;
+    for (const exchange::AwardRecord& a : r.awards) {
+      awarded += std::max(0.0, a.payment);
+    }
+    reg.AddCounter("fed_awarded_dollars", by_shard, awarded);
+  }
+  if (config_.telemetry.profiler.work_accounting) {
+    // The profiler's deterministic work-accounting channel: logical
+    // cost counters for this shard-epoch, plus the per-(epoch, shard)
+    // work tree the flight recorder attaches to containment dumps.
+    const telemetry::WorkCounters work{
+        .dot_blocks = r.dot_blocks,
+        .dirty_bidders = r.dirty_bidders,
+        .bisection_probes = r.bisection_probes,
+        .full_collections = r.full_collections,
+        .incremental_collections = r.incremental_collections,
+        .wire_retries = r.wire_frames_retried,
+        .wire_dedups = r.wire_frames_deduped,
+        .refund_ops = static_cast<long long>(r.refund_ops)};
+    reg.AddCounter("fed_work_dot_blocks", by_shard,
+                   static_cast<double>(r.dot_blocks));
+    reg.AddCounter("fed_work_dirty_bidders", by_shard,
+                   static_cast<double>(r.dirty_bidders));
+    reg.AddCounter("fed_work_refund_ops", by_shard,
+                   static_cast<double>(r.refund_ops));
+    reg.AddCounter("fed_work_wire_retries", by_shard,
+                   static_cast<double>(r.wire_frames_retried));
+    reg.AddCounter("fed_work_wire_dedups", by_shard,
+                   static_cast<double>(r.wire_frames_deduped));
+    telemetry_->profiler()->RecordWork(epoch, k, work);
+  }
+  if (config_.telemetry.profiler.wall_clock) {
+    // Wall channel: the shard's collect/bisect/settle spans were
+    // measured on the worker thread but ride the report; copying them
+    // here keeps every profiler mutation at the barrier.
+    for (const PhaseSpan& span : r.phases) {
+      telemetry_->profiler()->AddSpan(k, epoch, span);
+    }
+  }
+  telemetry_->RecordEvent(
+      k, epoch,
+      "auction: rounds=" + std::to_string(r.rounds) +
+          " bids=" + std::to_string(r.num_bids) + " winners=" +
+          std::to_string(r.num_winners) +
+          (r.converged ? "" : " (unconverged)"));
+}
+
+void FederatedExchange::TraceBidOutcomes(const EpochState& s) {
   // Bid lifecycles: one shard-auction span per routed part, then its
   // settlement fate — the matching award, an explicit gate rejection,
   // or no award at all.
-  for (const RoutedBid& routed : routing.routed) {
-    const std::uint64_t trace = epoch_traces[routed.bid_index];
+  for (const RoutedBid& routed : s.routing.routed) {
+    const std::uint64_t trace = s.bids[routed.bid_index].trace;
     if (trace == 0) continue;
     const std::size_t k = routed.shard;
-    const ShardEpochSummary& s = summaries[k];
+    const ShardEpochSummary& summary = s.summaries[k];
     telemetry::Span& span = telemetry_->EmitSpan(
-        trace, "shard-auction", epoch, static_cast<int>(k));
+        trace, "shard-auction", s.epoch, static_cast<int>(k));
     span.attrs.emplace_back("bid", routed.bid.name);
-    if (s.failed) {
+    if (summary.failed) {
       span.attrs.emplace_back("outcome", "crashed");
     } else {
       span.attrs.emplace_back("rounds",
-                              std::to_string(s.report.rounds));
+                              std::to_string(summary.report.rounds));
       span.attrs.emplace_back("converged",
-                              s.report.converged ? "true" : "false");
+                              summary.report.converged ? "true" : "false");
     }
     telemetry_->MirrorSpan(span);
-    if (s.failed) continue;
+    if (summary.failed) continue;
 
     const exchange::AwardRecord* award = nullptr;
-    for (const exchange::AwardRecord& a : s.report.awards) {
+    for (const exchange::AwardRecord& a : summary.report.awards) {
       if (a.team == routed.team && a.bid_name == routed.bid.name) {
         award = &a;
         break;
@@ -488,7 +762,7 @@ void FederatedExchange::IngestShardTelemetry(
     }
     if (award != nullptr) {
       telemetry::Span& settle = telemetry_->EmitSpan(
-          trace, "settle", epoch, static_cast<int>(k));
+          trace, "settle", s.epoch, static_cast<int>(k));
       settle.attrs.emplace_back("bid", routed.bid.name);
       settle.attrs.emplace_back("payment", FormatF(award->payment, 2));
       settle.attrs.emplace_back(
@@ -503,7 +777,7 @@ void FederatedExchange::IngestShardTelemetry(
     }
     const exchange::ExternalRejection* rejection = nullptr;
     for (const exchange::ExternalRejection& rej :
-         s.report.external_rejections) {
+         summary.report.external_rejections) {
       if (rej.team == routed.team && rej.bid_name == routed.bid.name) {
         rejection = &rej;
         break;
@@ -511,7 +785,7 @@ void FederatedExchange::IngestShardTelemetry(
     }
     if (rejection != nullptr) {
       telemetry::Span& rejected = telemetry_->EmitSpan(
-          trace, "reject", epoch, static_cast<int>(k));
+          trace, "reject", s.epoch, static_cast<int>(k));
       rejected.attrs.emplace_back("bid", routed.bid.name);
       rejected.attrs.emplace_back(
           "reason",
@@ -520,15 +794,287 @@ void FederatedExchange::IngestShardTelemetry(
       continue;
     }
     telemetry::Span& lost = telemetry_->EmitSpan(
-        trace, "no-award", epoch, static_cast<int>(k));
+        trace, "no-award", s.epoch, static_cast<int>(k));
     lost.attrs.emplace_back("bid", routed.bid.name);
     telemetry_->MirrorSpan(lost);
   }
 }
 
-void FederatedExchange::CloseEpochTelemetry(const int epoch,
-                                            FederationReport& report) {
+void FederatedExchange::Contain(EpochState& s) {
+  // Roll failed shards back to their epoch checkpoints, advance every
+  // shard's health machine, square the planet ledger, and recover the
+  // failed shards' federated bids.
+  telemetry::ScopedSpan span = s.Span("contain");
+  if (!config_.supervisor.enabled) return;
+  s.health.supervised = true;
+  for (std::size_t k = 0; k < shards_.size(); ++k) AdvanceHealth(s, k);
+
+  // Failed shards' treasury floats: the restore reverted their
+  // shard-local endowments, so nothing was spent and each team's full
+  // outstanding allowance returns to its planet account.
+  if (treasury_ != nullptr) {
+    Money refunded;
+    for (std::size_t k = 0; k < shards_.size(); ++k) {
+      if (!s.summaries[k].failed) continue;
+      for (const std::string& team : treasury_->Teams()) {
+        refunded += treasury_->RefundAllowance(team, k, s.epoch);
+      }
+    }
+    s.health.refunded_allowance = refunded.ToDouble();
+  }
+  RecoverFailedBids(s);
+  s.health.statuses = health_;
+
+  // Supervisor counters for the registry.
+  if (telemetry_ != nullptr) {
+    telemetry::MetricsRegistry& reg = telemetry_->registry();
+    const telemetry::Labels planet;
+    const HealthBlock& h = s.health;
+    reg.AddCounter("fed_supervisor_failed_shards", planet,
+                   static_cast<double>(h.failed_shards));
+    reg.AddCounter("fed_supervisor_quarantined_epochs", planet,
+                   static_cast<double>(h.quarantined_shards));
+    reg.AddCounter("fed_supervisor_restored_checkpoints", planet,
+                   static_cast<double>(h.restored_checkpoints));
+    reg.AddCounter("fed_supervisor_rerouted_bids", planet,
+                   static_cast<double>(h.rerouted_bids));
+    reg.AddCounter("fed_supervisor_refunded_bids", planet,
+                   static_cast<double>(h.refunded_bids));
+    reg.AddCounter("fed_supervisor_refunded_allowance_dollars", planet,
+                   h.refunded_allowance);
+  }
+}
+
+void FederatedExchange::AdvanceHealth(EpochState& s, const std::size_t k) {
+  ShardHealthStatus& h = health_[k];
+  ShardEpochSummary& summary = s.summaries[k];
+  const ShardHealth before = h.status;
+  if (!h.active) {
+    ++s.health.quarantined_shards;
+  } else if (summary.failed) {
+    // Bit-identical rejoin: the shard resumes from the exact state the
+    // epoch started from, whatever the failure corrupted.
+    shards_[k]->market->Restore(s.checkpoints[k]);
+    ++h.restored_checkpoints;
+    ++s.health.restored_checkpoints;
+    ++s.health.failed_shards;
+    ++h.failure_streak;
+    if (h.failure_streak >= config_.supervisor.quarantine_streak) {
+      // The streak is NOT reset: a recovering shard that fails its
+      // probation epoch re-quarantines immediately, with backoff doubled
+      // per quarantine up to the cap.
+      h.status = ShardHealth::kQuarantined;
+      int backoff = config_.supervisor.backoff_base;
+      for (int i = 0; i < h.quarantine_count &&
+                      backoff < config_.supervisor.backoff_cap;
+           ++i) {
+        backoff <<= 1;
+      }
+      h.backoff_remaining = std::min(backoff, config_.supervisor.backoff_cap);
+      ++h.quarantine_count;
+    } else {
+      h.status = ShardHealth::kDegraded;
+    }
+  } else {
+    h.failure_streak = 0;
+    h.status = ShardHealth::kHealthy;
+  }
+  summary.health = h.status;
   if (telemetry_ == nullptr) return;
+
+  const std::string transition = std::string(ToString(before)) + " -> " +
+                                 std::string(ToString(h.status));
+  const bool moved = h.active && before != h.status;
+  if (moved) telemetry_->RecordEvent(k, s.epoch, "health: " + transition);
+  if (config_.telemetry.watchdog.recording_rules) {
+    telemetry::MetricsRegistry& reg = telemetry_->registry();
+    telemetry::Labels by_shard;
+    by_shard.shard = shards_[k]->name;
+    // The health-flap counter the derived flap-rate rule reads.
+    if (moved) reg.AddCounter("fed_health_transitions", by_shard, 1.0);
+    // Post-transition health for the console (encodes the ShardHealth
+    // enum value; telemetry/console.cpp decodes it).
+    reg.SetGauge("fed_shard_health", by_shard,
+                 static_cast<double>(h.status));
+  }
+  if (summary.failed) DumpContainedShard(s, k, transition);
+}
+
+void FederatedExchange::DumpContainedShard(const EpochState& s,
+                                           const std::size_t k,
+                                           const std::string& transition) {
+  // The failed shard's recent ring (its health event included) plus the
+  // full span chain of every traced bid that touched it this epoch.
+  std::vector<std::pair<std::uint64_t, std::vector<std::string>>> chains;
+  for (const RoutedBid& routed : s.routing.routed) {
+    if (routed.shard != k) continue;
+    const std::uint64_t trace = s.bids[routed.bid_index].trace;
+    if (trace == 0) continue;
+    bool seen = false;
+    for (const auto& chain : chains) seen = seen || chain.first == trace;
+    if (seen) continue;
+    std::vector<std::string> lines;
+    for (const telemetry::Span* span : telemetry_->tracer().SpansOf(trace)) {
+      lines.push_back(span->Render());
+    }
+    chains.emplace_back(trace, std::move(lines));
+  }
+  // The failing epoch's own report rolled back with the shard, so the
+  // work tree shows the run-up — the recent epochs where the shard was
+  // burning its round budget — plus an explicit note for the unrecorded
+  // failure epoch.
+  std::string work_tree;
+  if (config_.telemetry.profiler.work_accounting) {
+    work_tree = telemetry_->profiler()->RenderWorkTree(k, s.epoch);
+  }
+  telemetry_->recorder().DumpShard(k, shards_[k]->name, s.epoch,
+                                   s.summaries[k].failure, transition, chains,
+                                   work_tree);
+}
+
+void FederatedExchange::RecoverFailedBids(EpochState& s) {
+  // A bid all of whose parts landed on failed shards is re-queued whole
+  // for next epoch's router pass; parts whose sibling parts settled on
+  // healthy shards — splits and mirrors — are counted refunded instead
+  // (their money never left the planet ledger, and re-buying them would
+  // double the quantities the healthy parts already won).
+  for (std::size_t i = 0; i < s.routing.decisions.size(); ++i) {
+    const RouteDecision& decision = s.routing.decisions[i];
+    if (decision.shards.empty()) continue;
+    std::size_t failed_parts = 0;
+    for (std::size_t shard : decision.shards) {
+      if (s.summaries[shard].failed) ++failed_parts;
+    }
+    if (failed_parts == 0) continue;
+    const std::uint64_t trace = telemetry_ != nullptr ? s.bids[i].trace : 0;
+    if (failed_parts == decision.shards.size()) {
+      pending_.push_back(std::move(s.bids[i]));
+      ++s.health.rerouted_bids;
+      if (trace != 0) {
+        telemetry::Span& span =
+            telemetry_->EmitSpan(trace, "reroute", s.epoch, -1);
+        span.attrs.emplace_back("reason", "every part on a failed shard");
+      }
+    } else {
+      s.health.refunded_bids += failed_parts;
+      if (trace != 0) {
+        telemetry::Span& span =
+            telemetry_->EmitSpan(trace, "refund-part", s.epoch, -1);
+        span.attrs.emplace_back("failed_parts", std::to_string(failed_parts));
+        span.attrs.emplace_back("parts",
+                                std::to_string(decision.shards.size()));
+      }
+    }
+  }
+}
+
+FederationReport FederatedExchange::Merge(EpochState& s) {
+  // The planet-wide report. The clearing-price spread is measured before
+  // any rebalancing so it reflects the fleets the prices were discovered
+  // on.
+  telemetry::ScopedSpan span = s.Span("merge");
+  FederationReport report = BuildFederationReport(
+      s.epoch, std::move(s.summaries), std::move(s.routing));
+  report.health = std::move(s.health);
+  report.clearing_spread = ComputeClearingSpread(report, ShardFleets());
+
+  // Arbitrage digest: map this epoch's awards into the warehouse before
+  // the money is swept.
+  if (arbitrage_ != nullptr) {
+    arbitrage_->ObserveEpoch(report);
+    report.arbitrage.enabled = true;
+    // Only bids that actually reached a shard's auction count — a buy
+    // whose funding push came back empty was never submitted.
+    report.arbitrage.buys_planned = s.arb_buys;
+    report.arbitrage.sells_planned = s.arb_sells;
+    report.arbitrage.holdings_units = arbitrage_->TotalHoldingsUnits();
+    report.arbitrage.realized_pnl = arbitrage_->RealizedPnl();
+    report.arbitrage.mark_to_market = arbitrage_->MarkToMarket();
+  }
+  return report;
+}
+
+void FederatedExchange::SweepFloats(const int epoch, const std::string& memo) {
+  if (treasury_ == nullptr) return;
+  for (const std::string& team : treasury_->Teams()) {
+    for (std::size_t k = 0; k < shards_.size(); ++k) {
+      // A shard is healthy here exactly when it ran this epoch's auction
+      // and did not fail (an unsupervised shard is always healthy). A
+      // failed shard was restored to the epoch boundary with its floats
+      // refunded, and a quarantined one was never funded: sweeping
+      // either would touch a ledger this epoch never legitimately
+      // reached.
+      if (health_[k].status != ShardHealth::kHealthy) continue;
+      const Money remaining = shards_[k]->market->WithdrawTeam(team, memo);
+      treasury_->Sweep(team, k, remaining, epoch);
+    }
+  }
+}
+
+void FederatedExchange::Sweep(const EpochState& s, FederationReport& report) {
+  // Every federated team's shard-local balance is withdrawn to the shard
+  // operator and reconciled on the planet ledger. Between epochs the
+  // shard floats are therefore exactly zero and the treasury holds every
+  // federated dollar.
+  telemetry::ScopedSpan span = s.Span("sweep");
+  if (treasury_ == nullptr) return;
+  SweepFloats(s.epoch, "treasury sweep epoch " + std::to_string(s.epoch));
+  TreasurySnapshot& t = report.treasury;
+  t.enabled = true;
+  t.minted = treasury_->TotalMinted().ToDouble();
+  t.burned = treasury_->TotalBurned().ToDouble();
+  t.team_total = treasury_->TeamTotal().ToDouble();
+  t.float_total = treasury_->FloatTotal().ToDouble();
+  t.shard_net_total = treasury_->ShardNetTotal().ToDouble();
+  t.transfers = treasury_->Transfers().size();
+  if (telemetry_ == nullptr) return;
+
+  // Treasury flow gauges, read after the sweep so the float total is the
+  // between-epochs invariant (zero) unless something leaked.
+  telemetry::MetricsRegistry& reg = telemetry_->registry();
+  const telemetry::Labels planet;
+  reg.SetGauge("fed_treasury_minted_dollars", planet, t.minted);
+  reg.SetGauge("fed_treasury_burned_dollars", planet, t.burned);
+  reg.SetGauge("fed_treasury_team_dollars", planet, t.team_total);
+  reg.SetGauge("fed_treasury_float_dollars", planet, t.float_total);
+  reg.SetGauge("fed_treasury_transfers", planet,
+               static_cast<double>(t.transfers));
+  if (config_.telemetry.watchdog.recording_rules) {
+    // |Σ accounts − (minted − burned)|: zero whenever the treasury's
+    // conservation contract holds. The watchdog's drift alert watches
+    // this; scenarios forbid it from ever firing.
+    reg.SetGauge("fed_treasury_conservation_residual_dollars", planet,
+                 std::abs(treasury_->CirculatingSupply().ToDouble() -
+                          (t.minted - t.burned)));
+  }
+}
+
+void FederatedExchange::Rebalance(const EpochState& s,
+                                  FederationReport& report) {
+  // Whole-cluster migrations planned off the merged report and applied
+  // serially — both shards' capacities change before the next epoch.
+  telemetry::ScopedSpan span = s.Span("rebalance");
+  if (rebalancer_ == nullptr) return;
+  for (const MigrationPlan& plan :
+       rebalancer_->Observe(report, ShardFleets())) {
+    // Capacity never migrates into or out of a shard still proving
+    // itself: a failed/quarantined shard's empty report reads as 0%
+    // utilization, which would otherwise make it the planet's favourite
+    // donor.
+    if (health_[plan.from_shard].status != ShardHealth::kHealthy ||
+        health_[plan.to_shard].status != ShardHealth::kHealthy) {
+      continue;
+    }
+    report.migrations.push_back(ApplyMigration(plan, s.epoch));
+  }
+}
+
+void FederatedExchange::CloseEpochTelemetry(const EpochState& s,
+                                            FederationReport& report) {
+  // Planet-wide gauges, the watchdog pass and the logical epoch snapshot.
+  telemetry::ScopedSpan span = s.Span("close");
+  if (telemetry_ == nullptr) return;
+  const int epoch = s.epoch;
   telemetry::MetricsRegistry& reg = telemetry_->registry();
   const telemetry::Labels planet;
   reg.SetGauge("fed_clearing_spread", planet, report.clearing_spread);
@@ -565,570 +1111,6 @@ void FederatedExchange::CloseEpochTelemetry(const int epoch,
     }
   }
   reg.SnapshotEpoch(epoch);
-}
-
-FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
-  const bool supervised = config_.supervisor.enabled;
-
-  // Profiler wall channel: federation-track spans (epoch, route,
-  // barrier) are recorded here on the single epoch thread. Null when
-  // unarmed. The epoch span brackets the whole epoch — the one
-  // per-epoch wall time the system records.
-  telemetry::PhaseProfiler* prof =
-      telemetry_ != nullptr && config_.telemetry.profiler.wall_clock
-          ? telemetry_->profiler()
-          : nullptr;
-  const std::size_t fed_track =
-      prof == nullptr ? 0 : prof->federation_track();
-  telemetry::ScopedSpan epoch_span(prof, fed_track, epoch, "epoch");
-
-  // S0. Epoch-start health transitions and checkpoints. Quarantined
-  // shards drain their backoff and sit the epoch out; one that has
-  // drained moves to recovering and rejoins. Active shards are
-  // checkpointed *before* any epoch mutation (allowance endowments
-  // included), so a contained failure can roll the shard back to the
-  // epoch boundary and RefundAllowance squares the planet ledger.
-  // Health transitions run serially; the checkpoints then run
-  // concurrently, like step 2: shards share no mutable state and
-  // Snapshot() is const.
-  std::vector<std::vector<std::uint8_t>> checkpoints(shards_.size());
-  if (supervised) {
-    for (std::size_t k = 0; k < shards_.size(); ++k) {
-      ShardHealthStatus& h = health_[k];
-      if (h.status == ShardHealth::kQuarantined) {
-        if (h.backoff_remaining > 0) {
-          --h.backoff_remaining;
-          h.active = false;
-        } else {
-          h.status = ShardHealth::kRecovering;
-          ++h.retries;
-          h.active = true;
-        }
-      } else {
-        h.active = true;
-      }
-    }
-    // ParallelFor runs the loop inline when pool_ is null.
-    telemetry::ScopedSpan checkpoint_span(prof, fed_track, epoch,
-                                          "checkpoint");
-    ParallelFor(pool_.get(), 0, shards_.size(), [&](std::size_t k) {
-      if (health_[k].active) checkpoints[k] = shards_[k]->market->Snapshot();
-    });
-  }
-  const auto shard_active = [&](std::size_t k) {
-    return !supervised || health_[k].active;
-  };
-
-  // 0. Treasury: push this epoch's shard allowances (planet account →
-  // shard float → shard-local endowment), teams in registration order,
-  // shards by index — deterministic, and clamped to each team's planet
-  // balance so no push can create money.
-  if (treasury_ != nullptr) {
-    const std::string memo = "treasury allowance epoch " +
-                             std::to_string(epoch);
-    for (const FederatedTeam& team : federated_teams_) {
-      // An underfunded team's remaining planet balance is divided
-      // evenly (to the micro-dollar) across shards, so shard 0 cannot
-      // drain the pot before later shards are funded at all.
-      const std::vector<Money> fair_share = exchange::SplitEvenly(
-          treasury_->PlanetBalance(team.team), shards_.size());
-      for (std::size_t k = 0; k < shards_.size(); ++k) {
-        // Quarantined shards run no auction: money pushed there would
-        // sit uselessly in the float all epoch.
-        if (!shard_active(k)) continue;
-        const Money granted = treasury_->PushAllowance(
-            team.team, k,
-            std::min(team.per_shard_allowance, fair_share[k]), epoch);
-        if (!granted.IsZero()) {
-          shards_[k]->market->EndowTeam(team.team, granted, memo);
-        }
-      }
-    }
-  }
-
-  // One coherent pre-auction snapshot per epoch, built lazily: prices
-  // and free capacity only move at auction time, so the arbitrage
-  // planner and the router can share it — and an epoch with neither
-  // pays nothing (the snapshot costs a full reserve-pricing pass per
-  // shard, which RunAuction repeats anyway).
-  std::vector<ShardView> views;
-  const auto ensure_views = [&] {
-    if (views.empty()) views = BuildShardViews();
-  };
-
-  // 0b. Arbitrage: plan from the previous epoch's clearing prices, fund
-  // each buy from the margin account (clamped to what is left of it),
-  // and enter the bids through the shards' external-bid gates. The
-  // first epoch has no price signal, so the agent sits it out.
-  std::vector<ArbitragePlan> arb_plans;
-  std::size_t arb_buys_submitted = 0;
-  std::size_t arb_sells_submitted = 0;
-  if (arbitrage_ != nullptr && !history_.empty()) {
-    ensure_views();
-    arb_plans = arbitrage_->PlanEpoch(&history_.back(), views,
-                                      ShardFleets(), epoch);
-    for (ArbitragePlan& plan : arb_plans) {
-      // A bid submitted to a quarantined shard would be stranded in its
-      // external queue (no auction runs to consume it) and poison the
-      // shard's next checkpoint.
-      if (!shard_active(plan.shard)) continue;
-      if (plan.is_buy) {
-        const Money granted = treasury_->PushAllowance(
-            arbitrage_->team(), plan.shard, plan.funding, epoch);
-        if (granted.IsZero()) continue;  // Margin exhausted: skip the buy.
-        shards_[plan.shard]->market->EndowTeam(
-            arbitrage_->team(), granted,
-            "arbitrage margin epoch " + std::to_string(epoch));
-        // Cap the bid at ITS OWN funding, not the team's shard balance:
-        // the market's gate clamps to the total balance, so two partially
-        // funded buys in one shard could otherwise win for more than the
-        // margin granted and settle as a local overdraft.
-        plan.bid.limit = std::min(plan.bid.limit, granted.ToDouble());
-        ++arb_buys_submitted;
-      } else {
-        ++arb_sells_submitted;
-      }
-      shards_[plan.shard]->market->SubmitExternalBid(
-          exchange::Market::ExternalBid{arbitrage_->team(), plan.bid});
-    }
-  }
-
-  // 1. Route. The queued federated bids become per-shard external bids,
-  // placed against the shared snapshot. Under supervision the originals
-  // are kept: a bid whose shard fails mid-epoch is re-queued for next
-  // epoch's pass over the healthy shards.
-  RoutingResult routing;
-  std::vector<FederatedBid> epoch_bids;
-  // Trace id per routing input (index-aligned with routing.decisions) —
-  // captured before pending_ is cleared so the post-auction telemetry
-  // passes can join shard outcomes back to bid lifecycles.
-  std::vector<std::uint64_t> epoch_traces;
-  if (!pending_.empty()) {
-    telemetry::ScopedSpan route_span(prof, fed_track, epoch, "route");
-    ensure_views();
-    if (supervised) epoch_bids = pending_;
-    if (telemetry_ != nullptr) {
-      epoch_traces.reserve(pending_.size());
-      for (const FederatedBid& fed : pending_) {
-        epoch_traces.push_back(fed.trace);
-      }
-    }
-    MarketRouter router(config_.router, std::move(views));
-    if (treasury_ != nullptr && config_.router.budget_pressure > 0.0) {
-      // Treasury-aware routing: a team low on planet money spills to
-      // cheaper shards earlier (its effective spill threshold tightens
-      // with its remaining balance).
-      std::unordered_map<std::string, double> balances;
-      for (const std::string& team : treasury_->Teams()) {
-        balances.emplace(team,
-                         treasury_->PlanetBalance(team).ToDouble());
-      }
-      routing = router.Route(pending_, balances);
-    } else {
-      routing = router.Route(pending_);
-    }
-    pending_.clear();
-    // Batched per-shard submission: one gate call per shard instead of
-    // one per routed part, keeping each shard's intra-batch order (the
-    // routed order) — bid order inside every market is unchanged.
-    std::vector<std::vector<exchange::Market::ExternalBid>> batches(
-        shards_.size());
-    for (const RoutedBid& routed : routing.routed) {
-      batches[routed.shard].push_back(
-          exchange::Market::ExternalBid{routed.team, routed.bid});
-    }
-    for (std::size_t k = 0; k < shards_.size(); ++k) {
-      if (!batches[k].empty()) {
-        shards_[k]->market->SubmitExternalBids(std::move(batches[k]));
-      }
-    }
-
-    // Telemetry: router decisions and spill reasons (single-threaded —
-    // the shard auctions have not started).
-    if (telemetry_ != nullptr) {
-      telemetry::MetricsRegistry& reg = telemetry_->registry();
-      for (const RouteDecision& decision : routing.decisions) {
-        telemetry::Labels by_policy;
-        by_policy.phase = std::string(ToString(decision.policy));
-        if (decision.shards.empty()) {
-          reg.AddCounter("fed_router_unroutable", by_policy, 1.0);
-        } else {
-          reg.AddCounter("fed_router_bids_routed", by_policy, 1.0);
-          if (decision.spilled) {
-            reg.AddCounter("fed_router_spills", by_policy, 1.0);
-          }
-        }
-      }
-      reg.AddCounter("fed_router_parts_placed", telemetry::Labels{},
-                     static_cast<double>(routing.routed.size()));
-      for (std::size_t i = 0; i < routing.decisions.size(); ++i) {
-        if (epoch_traces[i] == 0) continue;
-        const RouteDecision& decision = routing.decisions[i];
-        telemetry::Span& span =
-            telemetry_->EmitSpan(epoch_traces[i], "route", epoch, -1);
-        span.attrs.emplace_back("policy",
-                                std::string(ToString(decision.policy)));
-        span.attrs.emplace_back(
-            "parts", std::to_string(decision.shards.size()));
-        span.attrs.emplace_back("spilled",
-                                decision.spilled ? "true" : "false");
-        if (!decision.shards.empty()) {
-          span.attrs.emplace_back("heat",
-                                  FormatF(decision.preferred_heat, 3));
-        }
-      }
-      for (const RoutedBid& routed : routing.routed) {
-        const std::uint64_t trace = epoch_traces[routed.bid_index];
-        if (trace == 0) continue;
-        telemetry::Span& span = telemetry_->EmitSpan(
-            trace, "enqueue", epoch, static_cast<int>(routed.shard));
-        span.attrs.emplace_back("bid", routed.bid.name);
-        span.attrs.emplace_back("limit", FormatF(routed.bid.limit, 2));
-        telemetry_->MirrorSpan(span);
-      }
-    }
-  }
-
-  // 2. Clear every shard. Shards share no mutable state, so the rounds
-  // run concurrently; each shard's work is sequential within the shard,
-  // which keeps results bit-identical across thread counts. Under
-  // supervision each shard epoch runs inside a containment boundary:
-  // the catch is INSIDE the per-shard lambda (ParallelFor only rethrows
-  // the first exception after every chunk finishes, which would lose all
-  // but one failure and kill the whole epoch), so a failed shard records
-  // its fault and the planet epoch completes without it.
-  std::vector<ShardEpochSummary> summaries(shards_.size());
-  const auto run_shard = [&](std::size_t k) {
-    summaries[k].shard = k;
-    summaries[k].name = shards_[k]->name;
-    if (!shard_active(k)) {
-      summaries[k].participated = false;
-      return;
-    }
-    const auto run_one = [&] {
-      exchange::AuctionReport r = shards_[k]->market->RunAuction();
-      // Injected crash: the auction ran to completion and mutated the
-      // shard before the fault lands — the worst case for containment.
-      PM_CHECK_MSG(inject_fail_[k] == 0,
-                   "injected failure: shard " << k << " ('"
-                       << shards_[k]->name << "') crashed mid-epoch");
-      const int budget = inject_round_budget_[k];
-      PM_CHECK_MSG(budget < 0 || r.rounds <= budget,
-                   "epoch budget exceeded: shard "
-                       << k << " ('" << shards_[k]->name << "') took "
-                       << r.rounds << " rounds (budget " << budget
-                       << ")");
-      summaries[k].report = std::move(r);
-    };
-    if (!supervised) {
-      run_one();  // Failures propagate (first rethrown by ParallelFor).
-      return;
-    }
-    try {
-      run_one();
-    } catch (const std::exception& e) {
-      summaries[k].failed = true;
-      summaries[k].failure = e.what();
-    }
-  };
-  // ParallelFor runs the loop inline when pool_ is null.
-  ParallelFor(pool_.get(), 0, shards_.size(), run_shard);
-  // One-shot injections are consumed by the epoch that ran them.
-  std::fill(inject_fail_.begin(), inject_fail_.end(), 0);
-  std::fill(inject_round_budget_.begin(), inject_round_budget_.end(), -1);
-
-  // T1. Telemetry ingest at the epoch barrier: the shard auctions are
-  // done and the epoch is single-threaded again, so every write in
-  // IngestShardTelemetry is deterministic and ordered by shard index /
-  // routed-part order, independent of how the shards were scheduled
-  // above. It must run BEFORE the S1 containment pass so a failed
-  // shard's flight dump can include its auction-phase spans and events.
-  // The barrier span covers everything from here through T2 — the
-  // single-threaded tail of the epoch.
-  telemetry::ScopedSpan barrier_span(prof, fed_track, epoch, "barrier");
-  IngestShardTelemetry(epoch, summaries, routing, epoch_traces);
-
-  // S1. Containment aftermath: roll failed shards back to their epoch
-  // checkpoints, advance every shard's health machine, square the planet
-  // ledger, and recover the failed shards' federated bids.
-  HealthBlock health_block;
-  if (supervised) {
-    health_block.supervised = true;
-    for (std::size_t k = 0; k < shards_.size(); ++k) {
-      ShardHealthStatus& h = health_[k];
-      const ShardHealth before = h.status;
-      if (!h.active) {
-        ++health_block.quarantined_shards;
-      } else if (summaries[k].failed) {
-        // Bit-identical rejoin: the shard resumes from the exact state
-        // the epoch started from, whatever the failure corrupted.
-        shards_[k]->market->Restore(checkpoints[k]);
-        ++h.restored_checkpoints;
-        ++health_block.restored_checkpoints;
-        ++health_block.failed_shards;
-        ++h.failure_streak;
-        if (h.failure_streak >= config_.supervisor.quarantine_streak) {
-          // The streak is NOT reset: a recovering shard that fails its
-          // probation epoch re-quarantines immediately, with backoff
-          // doubled per quarantine up to the cap.
-          h.status = ShardHealth::kQuarantined;
-          int backoff = config_.supervisor.backoff_base;
-          for (int i = 0; i < h.quarantine_count &&
-                          backoff < config_.supervisor.backoff_cap;
-               ++i) {
-            backoff <<= 1;
-          }
-          h.backoff_remaining =
-              std::min(backoff, config_.supervisor.backoff_cap);
-          ++h.quarantine_count;
-        } else {
-          h.status = ShardHealth::kDegraded;
-        }
-      } else {
-        h.failure_streak = 0;
-        h.status = ShardHealth::kHealthy;
-      }
-      summaries[k].health = h.status;
-
-      if (telemetry_ != nullptr) {
-        const std::string transition = std::string(ToString(before)) +
-                                       " -> " +
-                                       std::string(ToString(h.status));
-        if (h.active && before != h.status) {
-          telemetry_->RecordEvent(k, epoch, "health: " + transition);
-        }
-        if (config_.telemetry.watchdog.recording_rules) {
-          telemetry::MetricsRegistry& reg = telemetry_->registry();
-          telemetry::Labels by_shard;
-          by_shard.shard = shards_[k]->name;
-          if (h.active && before != h.status) {
-            // The health-flap counter the derived flap-rate rule reads.
-            reg.AddCounter("fed_health_transitions", by_shard, 1.0);
-          }
-          // Post-transition health for the console (encodes the
-          // ShardHealth enum value; telemetry/console.cpp decodes it).
-          reg.SetGauge("fed_shard_health", by_shard,
-                       static_cast<double>(h.status));
-        }
-        // Containment flight dump: the failed shard's recent ring (the
-        // health event above included) plus the full span chain of every
-        // traced bid that touched it this epoch.
-        if (summaries[k].failed) {
-          std::vector<std::pair<std::uint64_t, std::vector<std::string>>>
-              chains;
-          for (const RoutedBid& routed : routing.routed) {
-            if (routed.shard != k) continue;
-            const std::uint64_t trace = epoch_traces[routed.bid_index];
-            if (trace == 0) continue;
-            bool seen = false;
-            for (const auto& chain : chains) {
-              seen = seen || chain.first == trace;
-            }
-            if (seen) continue;
-            std::vector<std::string> lines;
-            for (const telemetry::Span* span :
-                 telemetry_->tracer().SpansOf(trace)) {
-              lines.push_back(span->Render());
-            }
-            chains.emplace_back(trace, std::move(lines));
-          }
-          // The failing epoch's own report rolled back with the shard,
-          // so the work tree shows the run-up — the recent epochs where
-          // the shard was burning its round budget — plus an explicit
-          // note for the unrecorded failure epoch.
-          std::string work_tree;
-          if (config_.telemetry.profiler.work_accounting) {
-            work_tree =
-                telemetry_->profiler()->RenderWorkTree(k, epoch);
-          }
-          telemetry_->recorder().DumpShard(k, shards_[k]->name, epoch,
-                                           summaries[k].failure,
-                                           transition, chains, work_tree);
-        }
-      }
-    }
-
-    // Failed shards' treasury floats: the restore reverted their
-    // shard-local endowments, so nothing was spent and each team's full
-    // outstanding allowance returns to its planet account.
-    if (treasury_ != nullptr) {
-      Money refunded;
-      for (std::size_t k = 0; k < shards_.size(); ++k) {
-        if (!summaries[k].failed) continue;
-        for (const std::string& team : treasury_->Teams()) {
-          refunded += treasury_->RefundAllowance(team, k, epoch);
-        }
-      }
-      health_block.refunded_allowance = refunded.ToDouble();
-    }
-
-    // Failed shards' routed federated bids. A bid all of whose parts
-    // landed on failed shards is re-queued whole for next epoch's router
-    // pass; parts whose sibling parts settled on healthy shards — splits
-    // and mirrors — are counted refunded instead (their money never left
-    // the planet ledger, and re-buying them would double the quantities
-    // the healthy parts already won).
-    for (std::size_t i = 0; i < routing.decisions.size(); ++i) {
-      const RouteDecision& decision = routing.decisions[i];
-      if (decision.shards.empty()) continue;
-      std::size_t failed_parts = 0;
-      for (std::size_t s : decision.shards) {
-        if (summaries[s].failed) ++failed_parts;
-      }
-      if (failed_parts == 0) continue;
-      const std::uint64_t trace =
-          telemetry_ != nullptr ? epoch_traces[i] : 0;
-      if (failed_parts == decision.shards.size()) {
-        pending_.push_back(epoch_bids[i]);
-        ++health_block.rerouted_bids;
-        if (trace != 0) {
-          telemetry::Span& span =
-              telemetry_->EmitSpan(trace, "reroute", epoch, -1);
-          span.attrs.emplace_back("reason", "every part on a failed shard");
-        }
-      } else {
-        health_block.refunded_bids += failed_parts;
-        if (trace != 0) {
-          telemetry::Span& span =
-              telemetry_->EmitSpan(trace, "refund-part", epoch, -1);
-          span.attrs.emplace_back("failed_parts",
-                                  std::to_string(failed_parts));
-          span.attrs.emplace_back(
-              "parts", std::to_string(decision.shards.size()));
-        }
-      }
-    }
-    health_block.statuses = health_;
-
-    // Supervisor counters for the registry (still single-threaded).
-    if (telemetry_ != nullptr) {
-      telemetry::MetricsRegistry& reg = telemetry_->registry();
-      const telemetry::Labels planet;
-      reg.AddCounter("fed_supervisor_failed_shards", planet,
-                     static_cast<double>(health_block.failed_shards));
-      reg.AddCounter("fed_supervisor_quarantined_epochs", planet,
-                     static_cast<double>(health_block.quarantined_shards));
-      reg.AddCounter(
-          "fed_supervisor_restored_checkpoints", planet,
-          static_cast<double>(health_block.restored_checkpoints));
-      reg.AddCounter("fed_supervisor_rerouted_bids", planet,
-                     static_cast<double>(health_block.rerouted_bids));
-      reg.AddCounter("fed_supervisor_refunded_bids", planet,
-                     static_cast<double>(health_block.refunded_bids));
-      reg.AddCounter("fed_supervisor_refunded_allowance_dollars", planet,
-                     health_block.refunded_allowance);
-    }
-  }
-
-  // 3. Merge into the planet-wide report. The clearing-price spread is
-  // measured before any rebalancing so it reflects the fleets the prices
-  // were discovered on.
-  FederationReport report = BuildFederationReport(epoch,
-                                                  std::move(summaries),
-                                                  std::move(routing));
-  report.health = std::move(health_block);
-  report.clearing_spread =
-      ComputeClearingSpread(report, ShardFleets());
-
-  // 4. Arbitrage digest: map this epoch's awards into the warehouse
-  // before the money is swept.
-  if (arbitrage_ != nullptr) {
-    arbitrage_->ObserveEpoch(report);
-    report.arbitrage.enabled = true;
-    // Only bids that actually reached a shard's auction count — a buy
-    // whose funding push came back empty was never submitted.
-    report.arbitrage.buys_planned = arb_buys_submitted;
-    report.arbitrage.sells_planned = arb_sells_submitted;
-    report.arbitrage.holdings_units = arbitrage_->TotalHoldingsUnits();
-    report.arbitrage.realized_pnl = arbitrage_->RealizedPnl();
-    report.arbitrage.mark_to_market = arbitrage_->MarkToMarket();
-  }
-
-  // 5. Settlement sweep: every federated team's shard-local balance is
-  // withdrawn to the shard operator and reconciled on the planet ledger.
-  // Between epochs the shard floats are therefore exactly zero and the
-  // treasury holds every federated dollar.
-  if (treasury_ != nullptr) {
-    const std::string memo = "treasury sweep epoch " +
-                             std::to_string(epoch);
-    for (const std::string& team : treasury_->Teams()) {
-      for (std::size_t k = 0; k < shards_.size(); ++k) {
-        // Failed shards were restored to the epoch boundary (their
-        // floats already refunded) and quarantined shards were never
-        // funded: sweeping either would touch a ledger this epoch never
-        // legitimately reached.
-        if (supervised && (!report.shards[k].participated ||
-                           report.shards[k].failed)) {
-          continue;
-        }
-        const Money remaining =
-            shards_[k]->market->WithdrawTeam(team, memo);
-        treasury_->Sweep(team, k, remaining, epoch);
-      }
-    }
-    report.treasury.enabled = true;
-    report.treasury.minted = treasury_->TotalMinted().ToDouble();
-    report.treasury.burned = treasury_->TotalBurned().ToDouble();
-    report.treasury.team_total = treasury_->TeamTotal().ToDouble();
-    report.treasury.float_total = treasury_->FloatTotal().ToDouble();
-    report.treasury.shard_net_total =
-        treasury_->ShardNetTotal().ToDouble();
-    report.treasury.transfers = treasury_->Transfers().size();
-
-    // Treasury flow gauges, read after the sweep so the float total is
-    // the between-epochs invariant (zero) unless something leaked.
-    if (telemetry_ != nullptr) {
-      telemetry::MetricsRegistry& reg = telemetry_->registry();
-      const telemetry::Labels planet;
-      reg.SetGauge("fed_treasury_minted_dollars", planet,
-                   report.treasury.minted);
-      reg.SetGauge("fed_treasury_burned_dollars", planet,
-                   report.treasury.burned);
-      reg.SetGauge("fed_treasury_team_dollars", planet,
-                   report.treasury.team_total);
-      reg.SetGauge("fed_treasury_float_dollars", planet,
-                   report.treasury.float_total);
-      reg.SetGauge("fed_treasury_transfers", planet,
-                   static_cast<double>(report.treasury.transfers));
-      if (config_.telemetry.watchdog.recording_rules) {
-        // |Σ accounts − (minted − burned)|: zero whenever the treasury's
-        // conservation contract holds. The watchdog's drift alert
-        // watches this; scenarios forbid it from ever firing.
-        reg.SetGauge(
-            "fed_treasury_conservation_residual_dollars", planet,
-            std::abs(treasury_->CirculatingSupply().ToDouble() -
-                     (report.treasury.minted - report.treasury.burned)));
-      }
-    }
-  }
-
-  // 6. Rebalance: whole-cluster migrations planned off the merged report
-  // and applied serially — both shards' capacities change before the
-  // next epoch.
-  if (rebalancer_ != nullptr) {
-    for (const MigrationPlan& plan :
-         rebalancer_->Observe(report, ShardFleets())) {
-      // Capacity never migrates into or out of a shard still proving
-      // itself: a failed/quarantined shard's empty report reads as 0%
-      // utilization, which would otherwise make it the planet's
-      // favourite donor.
-      if (supervised &&
-          (health_[plan.from_shard].status != ShardHealth::kHealthy ||
-           health_[plan.to_shard].status != ShardHealth::kHealthy)) {
-        continue;
-      }
-      report.migrations.push_back(ApplyMigration(plan, epoch));
-    }
-  }
-
-  // T2. Close the epoch's telemetry: planet-wide gauges, the watchdog
-  // pass and the logical epoch snapshot (see CloseEpochTelemetry).
-  CloseEpochTelemetry(epoch, report);
-  barrier_span.Stop();
-  epoch_span.Stop();
-
-  history_.push_back(std::move(report));
-  return history_.back();
 }
 
 ClusterMigration FederatedExchange::ApplyMigration(

@@ -246,29 +246,46 @@ class FederatedExchange {
     Money per_shard_allowance;
   };
 
+  /// One epoch's working set (federated_exchange.cpp).
+  struct EpochState;
+
   /// Executes one planned cluster migration and returns its record.
   ClusterMigration ApplyMigration(const MigrationPlan& plan, int epoch);
 
-  /// The epoch body; RunEpoch wraps it with the exception-unwind path.
+  /// The epoch body, the phases below in order; RunEpoch wraps it with
+  /// the exception-unwind path. docs/federation.md, "One epoch, phase by
+  /// phase", lists what each phase reads and writes.
   FederationReport RunEpochInternal(int epoch);
 
-  /// The T1 barrier block: per-shard metric ingest plus bid-lifecycle
-  /// spans. Single-threaded by contract.
-  void IngestShardTelemetry(int epoch,
-                            const std::vector<ShardEpochSummary>& summaries,
-                            const RoutingResult& routing,
-                            const std::vector<std::uint64_t>& epoch_traces);
+  void Checkpoint(EpochState& s);
+  void FundShards(const EpochState& s);
+  void PlanArbitrage(EpochState& s);
+  void Route(EpochState& s);
+  void RunShards(EpochState& s);
+  // The barrier: single-threaded again, each phase one span in `barrier`.
+  void IngestTelemetry(const EpochState& s);
+  void Contain(EpochState& s);
+  FederationReport Merge(EpochState& s);
+  void Sweep(const EpochState& s, FederationReport& report);
+  void Rebalance(const EpochState& s, FederationReport& report);
+  void CloseEpochTelemetry(const EpochState& s, FederationReport& report);
 
-  /// The T2 barrier block: planet gauges, watchdog pass, epoch snapshot.
-  void CloseEpochTelemetry(int epoch, FederationReport& report);
+  // Pieces of the phases above.
+  void TraceRouting(const EpochState& s);
+  void IngestShardMetrics(int epoch, std::size_t k,
+                          const exchange::AuctionReport& r);
+  void TraceBidOutcomes(const EpochState& s);
+  void AdvanceHealth(EpochState& s, std::size_t k);
+  void DumpContainedShard(const EpochState& s, std::size_t k,
+                          const std::string& transition);
+  void RecoverFailedBids(EpochState& s);
 
-  /// Reconciles every (team, shard) float back onto the planet ledger —
-  /// the exception-unwind path for the unsupervised federation: without
-  /// it a shard throwing mid-epoch leaves this epoch's allowances
-  /// stranded in shard floats forever (conservation still sums, but the
-  /// between-epochs zero-float contract breaks and the money is lost to
-  /// its teams). Withdraws each team's shard-local balance and sweeps.
-  void EmergencySweep(int epoch);
+  /// Withdraws every federated team's balance from each healthy shard
+  /// and reconciles it on the planet ledger, journalled under `memo`.
+  /// Both the Sweep phase and RunEpoch's exception-unwind path (an
+  /// unsupervised shard threw: without it this epoch's allowances would
+  /// stay stranded in shard floats) call it.
+  void SweepFloats(int epoch, const std::string& memo);
 
   FederationConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;  // Stable addresses: each

@@ -68,9 +68,9 @@ struct HealthBlock {
   std::vector<ShardHealthStatus> statuses;
 };
 
-/// The watchdog's verdict on an epoch: what the alert engine did at the
-/// T2 barrier. Zeroed and disabled unless the telemetry watchdog's alert
-/// gate is armed.
+/// The watchdog's verdict on an epoch: what the alert engine did in the
+/// CloseEpochTelemetry phase. Zeroed and disabled unless the telemetry
+/// watchdog's alert gate is armed.
 struct AlertBlock {
   bool enabled = false;
   std::size_t transitions = 0;      // Lifecycle transitions this epoch.

@@ -18,11 +18,11 @@
 // visible for exactly one evaluation so timelines record recovery as an
 // event, not as silence.
 //
-// Evaluation runs once per epoch in the federation's single-threaded T2
-// barrier (after the rule engine, before SnapshotEpoch), so the timeline
-// JSON is byte-identical across reruns and thread counts. Every
-// transition is also handed back to the caller, which mirrors it into
-// the FlightRecorder rings and the FederationReport alert block.
+// Evaluation runs once per epoch in the federation's single-threaded
+// CloseEpochTelemetry phase (after the rule engine, before SnapshotEpoch),
+// so the timeline JSON is byte-identical across reruns and thread counts.
+// Every transition is also handed back to the caller, which mirrors it
+// into the FlightRecorder rings and the FederationReport alert block.
 #pragma once
 
 #include <cstddef>

@@ -17,7 +17,8 @@
 //     noisy single-vCPU host).
 //
 //   * Wall clock. Real phase spans (collect → bisect → settle on each
-//     shard track; epoch, route → barrier on the federation track),
+//     shard track; epoch, checkpoint, route and barrier, with one span
+//     per barrier phase nested in it, on the federation track),
 //     exported as chrome://tracing JSON for flamegraph-style
 //     inspection. Wall values are scheduling-dependent by nature, so
 //     they live ONLY here, never in the deterministic channel.

@@ -12,11 +12,11 @@
 // and the alert engine (alerts.h) reads them like any other metric.
 //
 // Evaluation happens once per epoch in the federation's single-threaded
-// T2 barrier section, BEFORE SnapshotEpoch, so every derived value is in
-// the epoch's snapshot and the whole channel stays byte-identical across
-// reruns and thread counts. With TelemetryConfig::watchdog.recording_rules
-// off no RuleEngine exists and the registry document is bit-identical to
-// the pre-watchdog plane.
+// CloseEpochTelemetry phase, BEFORE SnapshotEpoch, so every derived value
+// is in the epoch's snapshot and the whole channel stays byte-identical
+// across reruns and thread counts. With
+// TelemetryConfig::watchdog.recording_rules off no RuleEngine exists and
+// the registry document is bit-identical to the pre-watchdog plane.
 #pragma once
 
 #include <map>

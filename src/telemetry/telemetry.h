@@ -111,10 +111,10 @@ class Telemetry {
 
   /// Runs the watchdog for epoch `epoch`: recording rules first (derived
   /// gauges land in the registry), then the alert pass. Call once per
-  /// epoch at the T2 barrier, BEFORE the registry's SnapshotEpoch, so
-  /// derived series ride the snapshot. Returns this epoch's alert
-  /// transitions (already in the timeline) for mirroring; empty when the
-  /// watchdog is off.
+  /// epoch in the CloseEpochTelemetry phase, BEFORE the registry's
+  /// SnapshotEpoch, so derived series ride the snapshot. Returns this
+  /// epoch's alert transitions (already in the timeline) for mirroring;
+  /// empty when the watchdog is off.
   std::vector<AlertTransition> EvaluateWatchdog(int epoch);
 
   /// Emits a span. Callers attach attributes on the returned reference,

@@ -14,6 +14,7 @@
 #include <bit>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "agents/workload_gen.h"
 #include "bid/tbbl_flatten.h"
@@ -450,8 +451,9 @@ TEST_P(FuzzSweepTest, ParserNeverCrashesOnTokenSoup) {
   }
 }
 
-// Offsets of the fleet section and of every placed job's slot fields in
-// a Market::Snapshot() frame, found by walking the frame's layout.
+// Offsets of the fleet and quota sections and of every placed job's slot
+// fields in a Market::Snapshot() frame, found by walking the frame's
+// layout.
 struct SnapshotLayout {
   struct JobSlots {
     std::uint32_t num_machines = 0;  // Of the job's cluster.
@@ -464,6 +466,8 @@ struct SnapshotLayout {
   std::size_t clusters_end = 0;    // The agent count after the clusters.
   std::vector<std::size_t> cluster_names;  // Each name's length prefix.
   std::vector<JobSlots> jobs;
+  std::size_t quota_begin = 0;  // The quota row count.
+  std::size_t quota_end = 0;    // The auction count after the rows.
 };
 
 void PutU32(std::vector<std::uint8_t>& frame, std::size_t at,
@@ -524,6 +528,34 @@ SnapshotLayout WalkSnapshot(const std::vector<std::uint8_t>& frame) {
     }
   }
   layout.clusters_end = at;
+  const auto skip_doubles = [&] { at += 8 * static_cast<std::size_t>(u32()); };
+  for (std::uint32_t agents = u32(); agents > 0; --agents) {
+    skip_string();
+    at += 1;  // Strategy.
+    skip_string();
+    at += 3 * 8 + 3 * 8;  // Footprint; growth, relocation, value.
+    skip_doubles();       // Beliefs.
+    at += 8 + 4 + 4 * 8;  // Markup, observations, RNG state.
+    skip_doubles();       // Holdings.
+    skip_doubles();       // Placement penalty.
+  }
+  at += 4;  // Operator account.
+  for (std::uint32_t accounts = u32(); accounts > 0; --accounts) {
+    skip_string();
+    at += 8 + 1;  // Balance, overdraft flag.
+  }
+  for (std::uint32_t entries = u32(); entries > 0; --entries) {
+    at += 4 + 4 + 8;  // From, to, amount.
+    skip_string();
+    at += 4;  // Sequence.
+  }
+  layout.quota_begin = at;
+  for (std::uint32_t rows = u32(); rows > 0; --rows) {
+    skip_string();
+    at += 4 + 8 + 8;  // Pool, entitlement, usage.
+  }
+  layout.quota_end = at;
+  EXPECT_EQ(at + 4 + 8, frame.size()) << "auction count and checksum";
   return layout;
 }
 
@@ -638,25 +670,37 @@ TEST_P(FuzzSweepTest, MutatedSnapshotFramesAreRejectedOrRoundTrip) {
   Reseal(flagged);
   EXPECT_THROW(market.Restore(flagged), CheckFailure) << "endowed flag 2";
 
+  // The auction count restores as that many stub reports, within a cap.
+  std::vector<std::uint8_t> recounted = good;
+  PutU32(recounted, layout.quota_end, GetU32(good, layout.quota_end) + 1);
+  Reseal(recounted);
+  EXPECT_FALSE(RejectedOrRoundTrips(market, recounted)) << "one more auction";
+  PutU32(recounted, layout.quota_end, 0xFFFFFFFFu);
+  Reseal(recounted);
+  EXPECT_THROW(market.Restore(recounted), CheckFailure) << "huge auction count";
+
   // Random: byte mutations over the fleet's cluster records (machines,
-  // jobs and their slots), resealed. Quota rows still decode in any
-  // order, so mutants elsewhere may restore to a different canonical
-  // frame.
+  // jobs and their slots) and over the quota rows, resealed.
   RandomStream rng(4800 + static_cast<std::uint64_t>(GetParam()));
-  const auto begin = static_cast<std::int64_t>(layout.clusters_begin);
-  const auto end = static_cast<std::int64_t>(layout.clusters_end);
-  int rejected = 0;
-  for (int trial = 0; trial < 400; ++trial) {
-    std::vector<std::uint8_t> frame = good;
-    const int flips = static_cast<int>(rng.UniformInt(1, 3));
-    for (int f = 0; f < flips; ++f) {
-      const auto at = static_cast<std::size_t>(rng.UniformInt(begin, end - 1));
-      frame[at] = static_cast<std::uint8_t>(rng.UniformInt(0, 255));
+  ASSERT_LT(layout.quota_begin + 4, layout.quota_end) << "no quota rows";
+  for (const auto [begin, end] :
+       {std::pair{layout.clusters_begin, layout.clusters_end},
+        std::pair{layout.quota_begin, layout.quota_end}}) {
+    int rejected = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+      std::vector<std::uint8_t> frame = good;
+      const int flips = static_cast<int>(rng.UniformInt(1, 3));
+      for (int f = 0; f < flips; ++f) {
+        const auto at = static_cast<std::size_t>(
+            rng.UniformInt(static_cast<std::int64_t>(begin),
+                           static_cast<std::int64_t>(end) - 1));
+        frame[at] = static_cast<std::uint8_t>(rng.UniformInt(0, 255));
+      }
+      Reseal(frame);
+      if (RejectedOrRoundTrips(market, frame)) ++rejected;
     }
-    Reseal(frame);
-    if (RejectedOrRoundTrips(market, frame)) ++rejected;
+    EXPECT_GT(rejected, 0) << "section at byte " << begin;
   }
-  EXPECT_GT(rejected, 0);
 
   // The market is still usable: the good frame round-trips.
   market.Restore(good);

@@ -106,6 +106,29 @@ TEST(QuotaTableTest, TeamsListedInFirstSeenOrder) {
   EXPECT_EQ(quota.Teams(), (std::vector<std::string>{"b", "a"}));
 }
 
+TEST(QuotaTableTest, RestoreRowsAcceptsOnlyTheExportOrder) {
+  QuotaTable quota;
+  quota.Grant("b", 2, 1.0);
+  quota.Grant("a", 0, 2.0);
+  quota.Grant("b", 0, 3.0);
+  const std::vector<QuotaTable::Row> rows = quota.ExportRows();
+  ASSERT_EQ(rows.size(), 3u);  // b/0, b/2, a/0.
+  QuotaTable restored;
+  restored.RestoreRows(rows, 3);
+  EXPECT_EQ(restored.Teams(), quota.Teams());
+  EXPECT_EQ(restored.EntitlementOf("b", 2), 1.0);
+
+  const auto rejects = [](std::vector<QuotaTable::Row> mutant,
+                          std::size_t num_pools) {
+    QuotaTable table;
+    EXPECT_THROW(table.RestoreRows(mutant, num_pools), CheckFailure);
+  };
+  rejects(rows, 2);                          // Pool 2 of 2.
+  rejects({rows[1], rows[0], rows[2]}, 3);   // Pools descending.
+  rejects({rows[0], rows[0], rows[2]}, 3);   // Duplicate cell.
+  rejects({rows[0], rows[2], rows[1]}, 3);   // Team b split around a.
+}
+
 // ---------------------------------------------------- market integration --
 
 agents::WorkloadConfig SmallWorld(std::uint64_t seed) {

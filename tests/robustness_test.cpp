@@ -418,26 +418,60 @@ TEST(HealthMachineTest, QuarantinedShardIsNotQuotedByRouter) {
 
 TEST(SupervisorTest, IdleSupervisorIsBitIdenticalToUnsupervised) {
   // Config-gating contract: a supervisor that never fires must not
-  // perturb one bit of the market outcomes.
+  // perturb one bit of the market outcomes, across the full economy —
+  // treasury, arbitrage and a rebalancer that migrates clusters.
   FederationConfig off;
   off.seed = 37;
   off.economy.treasury = true;
+  off.economy.arbitrage.enabled = true;
+  off.economy.arbitrage.margin = Money::FromDollars(500000);
+  off.economy.arbitrage.min_spread = 0.05;
+  off.economy.arbitrage.buy_fraction = 0.20;
+  off.economy.rebalance.enabled = true;
+  off.economy.rebalance.spread_threshold = 0.20;
+  off.economy.rebalance.consecutive_epochs = 2;
   FederationConfig on = off;
   on.supervisor.enabled = true;
 
-  FederatedExchange a(ThreeShards(), off);
-  FederatedExchange b(ThreeShards(), on);
+  // One hot shard and two cool ones: the spread the economy works on.
+  std::vector<ShardSpec> specs = ThreeShards();
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    specs[k].workload.min_target_utilization = k == 0 ? 0.78 : 0.08;
+    specs[k].workload.max_target_utilization = k == 0 ? 0.95 : 0.28;
+  }
+  FederatedExchange a(specs, off);
+  FederatedExchange b(specs, on);
   a.EndowFederatedTeam("globex", Money::FromDollars(50000));
   b.EndowFederatedTeam("globex", Money::FromDollars(50000));
-  a.SubmitFederatedBid(SampleBid("globex", "region-1"));
-  b.SubmitFederatedBid(SampleBid("globex", "region-1"));
 
-  for (int epoch = 0; epoch < 3; ++epoch) {
+  std::size_t migrations = 0;
+  std::size_t arbitrage_bids = 0;
+  for (int epoch = 0; epoch < 5; ++epoch) {
+    a.SubmitFederatedBid(SampleBid("globex", "region-1"));
+    b.SubmitFederatedBid(SampleBid("globex", "region-1"));
     const FederationReport ra = a.RunEpoch();
     const FederationReport rb = b.RunEpoch();
     EXPECT_EQ(ra.total_bids, rb.total_bids);
     EXPECT_EQ(ra.operator_revenue, rb.operator_revenue);
+    EXPECT_EQ(ra.treasury.minted, rb.treasury.minted);
+    EXPECT_EQ(ra.treasury.burned, rb.treasury.burned);
+    EXPECT_EQ(ra.treasury.team_total, rb.treasury.team_total);
+    EXPECT_EQ(ra.treasury.float_total, rb.treasury.float_total);
+    EXPECT_EQ(ra.treasury.shard_net_total, rb.treasury.shard_net_total);
+    EXPECT_EQ(ra.treasury.transfers, rb.treasury.transfers);
+    ASSERT_EQ(ra.migrations.size(), rb.migrations.size());
+    for (std::size_t i = 0; i < ra.migrations.size(); ++i) {
+      EXPECT_EQ(ra.migrations[i].adopted_name, rb.migrations[i].adopted_name);
+      EXPECT_EQ(ra.migrations[i].from_shard, rb.migrations[i].from_shard);
+      EXPECT_EQ(ra.migrations[i].to_shard, rb.migrations[i].to_shard);
+      EXPECT_EQ(ra.migrations[i].move_cost, rb.migrations[i].move_cost);
+    }
+    migrations += ra.migrations.size();
+    arbitrage_bids += ra.arbitrage.buys_planned + ra.arbitrage.sells_planned;
   }
+  // Otherwise the sweep and rebalance steps went unexercised.
+  EXPECT_GT(migrations, 0u);
+  EXPECT_GT(arbitrage_bids, 0u);
   for (std::size_t k = 0; k < a.NumShards(); ++k) {
     EXPECT_EQ(a.ShardMarket(k).Snapshot(), b.ShardMarket(k).Snapshot());
   }
