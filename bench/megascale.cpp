@@ -8,7 +8,8 @@
 //      across thread counts. Stamped invalid_on_single_vcpu
 //      (bench_meta.h).
 //   2. megascale_epoch — the headline run: B bidders split over S shards
-//      (defaults 1,000,000 x 100) clear one epoch; every shard must
+//      (defaults 1,000,000 x 100) are built into a federation (timed as
+//      build_ms) and clear one epoch; every shard must
 //      converge, every award must conserve units (awarded = placed +
 //      refunded under refund_unplaced), and a rerun at another pool
 //      size must reproduce the metrics JSON byte for byte. The first
@@ -188,6 +189,7 @@ int main(int argc, char** argv) {
               "(%d per shard)...\n",
               static_cast<long long>(per_shard) * shards, shards,
               per_shard);
+  double mega_build_ms = 0.0;
   double mega_epoch_ms = 0.0;
   bool mega_converged = true;
   bool mega_conserved = true;
@@ -195,8 +197,12 @@ int main(int argc, char** argv) {
   long long mega_rounds = 0;
   std::string metrics_a;
   {
+    // World build: every shard's workload generation and initial job
+    // placement, timed on its own.
+    const auto build_start = Clock::now();
     pm::federation::FederatedExchange fed =
         BuildFederation(shards, per_shard, pool_threads);
+    mega_build_ms = MillisSince(build_start);
     const auto t0 = Clock::now();
     fed.RunEpochs(epochs);
     mega_epoch_ms = MillisSince(t0) / epochs;
@@ -230,9 +236,9 @@ int main(int argc, char** argv) {
                  mega_reproducible ? 1 : 0);
     exit_code = 3;
   }
-  std::printf("  epoch %.0f ms, %lld auction rounds, converged=%s, "
-              "conserved=%s, reproducible=%s\n",
-              mega_epoch_ms, mega_rounds, mega_converged ? "yes" : "NO",
+  std::printf("  build %.0f ms, epoch %.0f ms, %lld auction rounds, "
+              "converged=%s, conserved=%s, reproducible=%s\n",
+              mega_build_ms, mega_epoch_ms, mega_rounds, mega_converged ? "yes" : "NO",
               mega_conserved ? "yes" : "NO",
               mega_reproducible ? "yes" : "NO");
 
@@ -271,13 +277,14 @@ int main(int argc, char** argv) {
                "  \"megascale_epoch\": {\n"
                "    \"bidders\": %lld,\n"
                "    \"shards\": %zu,\n"
+               "    \"build_ms\": %.1f,\n"
                "    \"epoch_ms\": %.1f,\n"
                "    \"auction_rounds\": %lld,\n"
                "    \"all_converged\": %s,\n"
                "    \"conservation_ok\": %s,\n"
                "    \"metrics_reproducible\": %s\n  }\n}\n",
                static_cast<long long>(per_shard) * shards, shards,
-               mega_epoch_ms, mega_rounds,
+               mega_build_ms, mega_epoch_ms, mega_rounds,
                mega_converged ? "true" : "false",
                mega_conserved ? "true" : "false",
                mega_reproducible ? "true" : "false");

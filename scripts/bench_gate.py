@@ -85,7 +85,12 @@ SPECS = {
         # any drift at all is an algorithm change. The tiny
         # band only absorbs float printing.
         "work": [("megascale_epoch.auction_rounds", 1e-6)],
-        "wall": [("megascale_epoch.epoch_ms", 0.5)],
+        # build_ms is the world build (FederatedExchange construction):
+        # workload generation and the initial best-fit job placement.
+        "wall": [
+            ("megascale_epoch.epoch_ms", 0.5),
+            ("megascale_epoch.build_ms", 0.5),
+        ],
         "wall_guards": ["metadata.host.single_vcpu"],
     },
     "federated_exchange": {
@@ -332,7 +337,7 @@ def append_trajectory(path, benchmark, fresh, gate):
 # ------------------------------------------------------------ self-test --
 
 
-def synthetic_megascale(rounds, converged, epoch_ms):
+def synthetic_megascale(rounds, converged, epoch_ms, build_ms=50.0):
     return {
         "benchmark": "megascale",
         "metadata": {
@@ -347,6 +352,7 @@ def synthetic_megascale(rounds, converged, epoch_ms):
             },
         },
         "megascale_epoch": {
+            "build_ms": build_ms,
             "epoch_ms": epoch_ms,
             "auction_rounds": rounds,
             "all_converged": converged,
@@ -373,12 +379,18 @@ def self_test():
          dropped_invariant, False),
         ("wall blowup beyond the loose band fails",
          synthetic_megascale(1000, True, 300.0), False),
+        ("world-build blowup beyond the loose band fails",
+         synthetic_megascale(1000, True, 100.0, build_ms=150.0), False),
     ]
     # A single-vCPU stamp must turn the wall blowup into a skip.
     stamped = synthetic_megascale(1000, True, 300.0)
     stamped["metadata"]["host"]["single_vcpu"] = True
     cases.append(("wall blowup under a single-vCPU stamp passes",
                   stamped, True))
+    stamped_build = synthetic_megascale(1000, True, 100.0, build_ms=150.0)
+    stamped_build["metadata"]["host"]["single_vcpu"] = True
+    cases.append(("world-build blowup under a single-vCPU stamp passes",
+                  stamped_build, True))
     # A smoke-vs-full signature mismatch must skip numerics but still
     # enforce invariants.
     resized = synthetic_megascale(5000, True, 100.0)

@@ -129,12 +129,10 @@ World GenerateWorld(const WorkloadConfig& config) {
   }
   std::vector<cluster::TaskShape> footprints(drafts.size());
   for (const cluster::Cluster& cl : fleet.clusters()) {
-    for (const cluster::JobId id : cl.JobIds()) {
-      const cluster::Job* job = cl.FindJob(id);
-      PM_CHECK(job != nullptr);
-      const auto it = draft_of_team.find(job->team);
+    for (const cluster::Job& job : cl.Jobs()) {
+      const auto it = draft_of_team.find(job.team);
       if (it != draft_of_team.end()) {
-        footprints[it->second] += job->TotalDemand();
+        footprints[it->second] += job.TotalDemand();
       }
     }
   }

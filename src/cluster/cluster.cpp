@@ -30,7 +30,7 @@ Cluster Cluster::Homogeneous(std::string name, int num_machines,
 }
 
 bool Cluster::AddJob(const Job& job) {
-  PM_CHECK_MSG(jobs_.count(job.id) == 0,
+  PM_CHECK_MSG(slot_of_.count(job.id) == 0,
                "job " << job.id << " already in cluster " << name_);
   PlacementResult placement = PlaceTasks(machines_, job.shape, job.tasks);
   if (!placement.Complete()) {
@@ -38,51 +38,55 @@ bool Cluster::AddJob(const Job& job) {
     RecountUsed();
     return false;
   }
-  jobs_.emplace(job.id, PlacedJob{job, std::move(placement), next_order_++});
+  slot_of_.emplace(job.id, jobs_.size());
+  jobs_.emplace_back(PlacedJob{job, std::move(placement)});
   RecountUsed();
   return true;
 }
 
 std::optional<Job> Cluster::RemoveJob(JobId id) {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
-  UndoPlacement(machines_, it->second.job.shape, it->second.placement);
-  Job job = std::move(it->second.job);
-  jobs_.erase(it);
+  auto it = slot_of_.find(id);
+  if (it == slot_of_.end()) return std::nullopt;
+  std::optional<PlacedJob>& slot = jobs_[it->second];
+  UndoPlacement(machines_, slot->job.shape, slot->placement);
+  Job job = std::move(slot->job);
+  slot.reset();
+  slot_of_.erase(it);
+  if (2 * slot_of_.size() < jobs_.size()) {
+    std::erase_if(jobs_, [](const std::optional<PlacedJob>& p) {
+      return !p.has_value();
+    });
+    for (std::size_t i = 0; i < jobs_.size(); ++i) {
+      slot_of_[jobs_[i]->job.id] = i;
+    }
+  }
   RecountUsed();
   return job;
 }
 
 void Cluster::RenumberJob(JobId from, JobId to) {
   if (from == to) return;
-  auto it = jobs_.find(from);
-  PM_CHECK_MSG(it != jobs_.end(),
+  auto it = slot_of_.find(from);
+  PM_CHECK_MSG(it != slot_of_.end(),
                "cannot renumber unknown job " << from << " in " << name_);
-  PM_CHECK_MSG(jobs_.count(to) == 0,
+  PM_CHECK_MSG(slot_of_.count(to) == 0,
                "job id " << to << " already taken in " << name_);
-  PlacedJob placed = std::move(it->second);
-  jobs_.erase(it);
-  placed.job.id = to;
-  jobs_.emplace(to, std::move(placed));
+  const std::size_t slot = it->second;
+  slot_of_.erase(it);
+  slot_of_.emplace(to, slot);
+  jobs_[slot]->job.id = to;
 }
 
 std::vector<JobId> Cluster::JobIds() const {
-  std::vector<const PlacedJob*> placed;
-  placed.reserve(jobs_.size());
-  for (const auto& [id, pj] : jobs_) placed.push_back(&pj);
-  std::sort(placed.begin(), placed.end(),
-            [](const PlacedJob* a, const PlacedJob* b) {
-              return a->order < b->order;
-            });
   std::vector<JobId> ids;
-  ids.reserve(placed.size());
-  for (const PlacedJob* pj : placed) ids.push_back(pj->job.id);
+  ids.reserve(slot_of_.size());
+  for (const Job& job : Jobs()) ids.push_back(job.id);
   return ids;
 }
 
 const Job* Cluster::FindJob(JobId id) const {
-  auto it = jobs_.find(id);
-  return it == jobs_.end() ? nullptr : &it->second.job;
+  auto it = slot_of_.find(id);
+  return it == slot_of_.end() ? nullptr : &jobs_[it->second]->job;
 }
 
 double Cluster::Utilization(ResourceKind kind) const {
@@ -104,31 +108,25 @@ double Cluster::Free(ResourceKind kind) const {
 }
 
 std::vector<Cluster::PlacedJobRecord> Cluster::ExportJobs() const {
-  std::vector<const PlacedJob*> placed;
-  placed.reserve(jobs_.size());
-  for (const auto& [id, pj] : jobs_) placed.push_back(&pj);
-  std::sort(placed.begin(), placed.end(),
-            [](const PlacedJob* a, const PlacedJob* b) {
-              return a->order < b->order;
-            });
   std::vector<PlacedJobRecord> records;
-  records.reserve(placed.size());
-  for (const PlacedJob* pj : placed) {
-    records.push_back(PlacedJobRecord{pj->job, pj->placement});
+  records.reserve(slot_of_.size());
+  for (const std::optional<PlacedJob>& placed : jobs_) {
+    if (!placed) continue;
+    records.push_back(PlacedJobRecord{placed->job, placed->placement});
   }
   return records;
 }
 
 void Cluster::RestoreJobs(std::vector<PlacedJobRecord> records) {
-  PM_CHECK_MSG(jobs_.empty(),
+  PM_CHECK_MSG(slot_of_.empty(),
                "RestoreJobs into non-empty cluster " << name_);
-  next_order_ = 0;
+  jobs_.clear();
   for (PlacedJobRecord& record : records) {
     const JobId id = record.job.id;
-    PM_CHECK_MSG(jobs_.count(id) == 0,
-                 "duplicate job " << id << " in restore of " << name_);
-    jobs_.emplace(id, PlacedJob{std::move(record.job),
-                                std::move(record.placement), next_order_++});
+    const bool fresh = slot_of_.emplace(id, jobs_.size()).second;
+    PM_CHECK_MSG(fresh, "duplicate job " << id << " in restore of " << name_);
+    jobs_.emplace_back(
+        PlacedJob{std::move(record.job), std::move(record.placement)});
   }
 }
 

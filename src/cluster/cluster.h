@@ -7,6 +7,7 @@
 #pragma once
 
 #include <optional>
+#include <ranges>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -46,10 +47,22 @@ class Cluster {
   void RenumberJob(JobId from, JobId to);
 
   /// Whether the given job currently runs here.
-  bool HasJob(JobId id) const { return jobs_.count(id) > 0; }
+  bool HasJob(JobId id) const { return slot_of_.count(id) > 0; }
 
   /// Jobs currently placed, in insertion order.
   std::vector<JobId> JobIds() const;
+
+  /// The placed jobs themselves, in insertion order: a view that is valid
+  /// until the cluster's jobs next change.
+  auto Jobs() const {
+    return jobs_ | std::views::filter([](const std::optional<PlacedJob>& p) {
+             return p.has_value();
+           }) |
+           std::views::transform(
+               [](const std::optional<PlacedJob>& p) -> const Job& {
+                 return p->job;
+               });
+  }
 
   const Job* FindJob(JobId id) const;
 
@@ -88,7 +101,6 @@ class Cluster {
   struct PlacedJob {
     Job job;
     PlacementResult placement;
-    std::size_t order;  // Insertion order for deterministic iteration.
   };
 
   /// Re-sums used_ over the machines, in machine order, after any change
@@ -101,8 +113,11 @@ class Cluster {
   // construction, used_ is re-summed whenever a placement changes.
   TaskShape capacity_;
   TaskShape used_;
-  std::unordered_map<JobId, PlacedJob> jobs_;
-  std::size_t next_order_ = 0;
+  // Placed jobs in insertion order. A removed job leaves an empty slot
+  // behind, so no removal shifts the others; the slots are compacted
+  // once the empty ones outnumber the placed. slot_of_ indexes jobs_.
+  std::vector<std::optional<PlacedJob>> jobs_;
+  std::unordered_map<JobId, std::size_t> slot_of_;
 };
 
 }  // namespace pm::cluster

@@ -197,8 +197,8 @@ std::string Fleet::LocateJob(JobId id) const {
 std::vector<JobLocation> Fleet::AllJobs() const {
   std::vector<JobLocation> out;
   for (const Cluster& c : clusters_) {
-    for (JobId id : c.JobIds()) {
-      out.push_back(JobLocation{id, c.name()});
+    for (const Job& job : c.Jobs()) {
+      out.push_back(JobLocation{job.id, c.name()});
     }
   }
   return out;

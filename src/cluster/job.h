@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/check.h"
 #include "common/types.h"
 
 namespace pm::cluster {
@@ -23,16 +24,36 @@ struct TaskShape {
   double disk_tb = 0.0;  // terabytes
 
   /// Component lookup by resource kind.
-  double Of(ResourceKind kind) const;
+  double Of(ResourceKind kind) const {
+    return const_cast<TaskShape*>(this)->Of(kind);
+  }
 
   /// Mutable component lookup.
-  double& Of(ResourceKind kind);
+  double& Of(ResourceKind kind) {
+    switch (kind) {
+      case ResourceKind::kCpu:
+        return cpu;
+      case ResourceKind::kRam:
+        return ram_gb;
+      case ResourceKind::kDisk:
+        return disk_tb;
+    }
+    PM_CHECK_MSG(false, "unknown resource kind");
+    return cpu;
+  }
 
-  /// True when every component of `other` fits within this shape.
-  bool Fits(const TaskShape& other) const;
-
-  TaskShape& operator+=(const TaskShape& other);
-  TaskShape& operator-=(const TaskShape& other);
+  TaskShape& operator+=(const TaskShape& other) {
+    cpu += other.cpu;
+    ram_gb += other.ram_gb;
+    disk_tb += other.disk_tb;
+    return *this;
+  }
+  TaskShape& operator-=(const TaskShape& other) {
+    cpu -= other.cpu;
+    ram_gb -= other.ram_gb;
+    disk_tb -= other.disk_tb;
+    return *this;
+  }
   friend TaskShape operator+(TaskShape a, const TaskShape& b) {
     return a += b;
   }

@@ -5,24 +5,11 @@
 #include "common/check.h"
 
 namespace pm::cluster {
-namespace {
-
-// Placement tolerance: one part in 1e9 of the dimension's capacity.
-constexpr double kFitEps = 1e-9;
-
-}  // namespace
 
 Machine::Machine(TaskShape capacity) : capacity_(capacity) {
   PM_CHECK_MSG(capacity.cpu >= 0 && capacity.ram_gb >= 0 &&
                    capacity.disk_tb >= 0,
                "machine capacity must be non-negative");
-}
-
-bool Machine::CanFit(const TaskShape& shape) const {
-  const TaskShape free = Free();
-  return shape.cpu <= free.cpu + kFitEps * capacity_.cpu &&
-         shape.ram_gb <= free.ram_gb + kFitEps * capacity_.ram_gb &&
-         shape.disk_tb <= free.disk_tb + kFitEps * capacity_.disk_tb;
 }
 
 void Machine::Place(const TaskShape& shape) {
@@ -49,16 +36,6 @@ double Machine::Utilization(ResourceKind kind) const {
   const double cap = capacity_.Of(kind);
   if (cap <= 0.0) return 0.0;
   return used_.Of(kind) / cap;
-}
-
-double Machine::FillAfter(const TaskShape& shape) const {
-  double fill = 0.0;
-  for (ResourceKind kind : kAllResourceKinds) {
-    const double cap = capacity_.Of(kind);
-    if (cap <= 0.0) continue;
-    fill = std::max(fill, (used_.Of(kind) + shape.Of(kind)) / cap);
-  }
-  return fill;
 }
 
 }  // namespace pm::cluster

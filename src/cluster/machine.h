@@ -1,6 +1,7 @@
 // planetmarket: a single machine with multi-dimensional capacity.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "cluster/job.h"
@@ -25,8 +26,14 @@ class Machine {
 
   /// True when a task of `shape` fits in the remaining headroom (with a
   /// small epsilon so that accumulated float error cannot wedge an exact
-  /// repack).
-  bool CanFit(const TaskShape& shape) const;
+  /// repack). Inline: best-fit placement asks it of every machine.
+  bool CanFit(const TaskShape& shape) const {
+    return shape.cpu <= capacity_.cpu - used_.cpu + kFitEps * capacity_.cpu &&
+           shape.ram_gb <=
+               capacity_.ram_gb - used_.ram_gb + kFitEps * capacity_.ram_gb &&
+           shape.disk_tb <=
+               capacity_.disk_tb - used_.disk_tb + kFitEps * capacity_.disk_tb;
+  }
 
   /// Places one task. Precondition: CanFit(shape).
   void Place(const TaskShape& shape);
@@ -41,7 +48,15 @@ class Machine {
 
   /// Scalar fill metric used by best-fit placement: the maximum utilization
   /// across dimensions after hypothetically placing `shape`.
-  double FillAfter(const TaskShape& shape) const;
+  double FillAfter(const TaskShape& shape) const {
+    double fill = 0.0;
+    for (ResourceKind kind : kAllResourceKinds) {
+      const double cap = capacity_.Of(kind);
+      if (cap <= 0.0) continue;
+      fill = std::max(fill, (used_.Of(kind) + shape.Of(kind)) / cap);
+    }
+    return fill;
+  }
 
   /// Checkpoint restore: overwrites the in-use shape with a value saved
   /// from another machine's used(). Bypasses Place so accumulated float
@@ -49,6 +64,9 @@ class Machine {
   void RestoreUsed(const TaskShape& used) { used_ = used; }
 
  private:
+  // Placement tolerance: one part in 1e9 of the dimension's capacity.
+  static constexpr double kFitEps = 1e-9;
+
   TaskShape capacity_;
   TaskShape used_;
 };

@@ -41,6 +41,8 @@ struct PlacementResult {
 /// Places `count` tasks of `shape` one at a time by best fit, mutating
 /// `machines`: each task goes to the machine that fits it and is left
 /// tightest (max dimension fill) after placing, ties to the lowest index.
+/// One call costs O(M + count·log M) for M machines: a tournament tree
+/// over the machines re-evaluates only the machine each task lands on.
 /// Returns where each task went. Placement is all-or-nothing
 /// per *task* but not per job: callers wanting atomic job placement check
 /// Complete() and call UndoPlacement on failure.

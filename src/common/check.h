@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace pm {
 
@@ -18,17 +19,27 @@ namespace pm {
 /// failure.
 class CheckFailure : public std::logic_error {
  public:
-  explicit CheckFailure(const std::string& what) : std::logic_error(what) {}
+  explicit CheckFailure(const std::string& what) : CheckFailure(what, what) {}
+  CheckFailure(const std::string& what, std::string reason)
+      : std::logic_error(what), reason_(std::move(reason)) {}
+
+  /// what() without the source location: stable across builds, so it can
+  /// go into exported artifacts.
+  const std::string& reason() const { return reason_; }
+
+ private:
+  std::string reason_;
 };
 
 namespace internal {
 
 [[noreturn]] inline void CheckFailed(const char* expr, const char* file,
                                      int line, const std::string& msg) {
+  const std::string reason = std::string("PM_CHECK failed: ") + expr;
+  const std::string detail = msg.empty() ? "" : " — " + msg;
   std::ostringstream os;
-  os << "PM_CHECK failed: " << expr << " at " << file << ":" << line;
-  if (!msg.empty()) os << " — " << msg;
-  throw CheckFailure(os.str());
+  os << reason << " at " << file << ":" << line << detail;
+  throw CheckFailure(os.str(), reason + detail);
 }
 
 }  // namespace internal

@@ -53,10 +53,8 @@ Market::Market(cluster::Fleet* fleet,
   // §I quota bootstrap: every team starts entitled to exactly what it
   // already runs, and its usage is charged accordingly.
   for (const cluster::Cluster& cl : fleet_->clusters()) {
-    for (const cluster::JobId id : cl.JobIds()) {
-      const cluster::Job* job = cl.FindJob(id);
-      PM_CHECK(job != nullptr);
-      ApplyJobQuota(job->team, cl.name(), job->TotalDemand(), /*add=*/true);
+    for (const cluster::Job& job : cl.Jobs()) {
+      ApplyJobQuota(job.team, cl.name(), job.TotalDemand(), /*add=*/true);
     }
   }
 }
@@ -117,10 +115,8 @@ cluster::Cluster Market::ExtractCluster(const std::string& name) {
   cluster::Cluster& cl = fleet_->ClusterByName(name);
   // Undo the quota bootstrap for every job leaving with the cluster; the
   // destination market re-applies it on adoption.
-  for (cluster::JobId id : cl.JobIds()) {
-    const cluster::Job* job = cl.FindJob(id);
-    PM_CHECK(job != nullptr);
-    ApplyJobQuota(job->team, name, job->TotalDemand(), /*add=*/false);
+  for (const cluster::Job& job : cl.Jobs()) {
+    ApplyJobQuota(job.team, name, job.TotalDemand(), /*add=*/false);
   }
   return fleet_->ExtractCluster(name);
 }
@@ -147,8 +143,8 @@ void Market::AdoptCluster(cluster::Cluster cluster) {
   // fresh id can land on a job still waiting to be renumbered.
   // Placements are untouched.
   cluster::Cluster& cl = fleet_->ClusterByName(name);
-  for (const cluster::JobId id : cl.JobIds()) {
-    next_job_id_ = std::max(next_job_id_, id + 1);
+  for (const cluster::Job& job : cl.Jobs()) {
+    next_job_id_ = std::max(next_job_id_, job.id + 1);
   }
   for (const cluster::JobId id : cl.JobIds()) {
     cl.RenumberJob(id, next_job_id_++);
@@ -156,10 +152,8 @@ void Market::AdoptCluster(cluster::Cluster cluster) {
   // Quota bootstrap for the adopted jobs (their teams may be foreign —
   // administratively owned by another shard's population; the table
   // tracks them all the same).
-  for (cluster::JobId id : cl.JobIds()) {
-    const cluster::Job* job = cl.FindJob(id);
-    PM_CHECK(job != nullptr);
-    ApplyJobQuota(job->team, name, job->TotalDemand(), /*add=*/true);
+  for (const cluster::Job& job : cl.Jobs()) {
+    ApplyJobQuota(job.team, name, job.TotalDemand(), /*add=*/true);
   }
 }
 
@@ -437,11 +431,9 @@ void Market::RefreshTeamProfiles() {
   std::unordered_map<std::string, std::unordered_map<std::string, double>>
       cpu_by_cluster;
   for (const cluster::Cluster& cl : fleet_->clusters()) {
-    for (const cluster::JobId id : cl.JobIds()) {
-      const cluster::Job* job = cl.FindJob(id);
-      PM_CHECK(job != nullptr);
-      footprints[job->team] += job->TotalDemand();
-      cpu_by_cluster[job->team][cl.name()] += job->TotalDemand().cpu;
+    for (const cluster::Job& job : cl.Jobs()) {
+      footprints[job.team] += job.TotalDemand();
+      cpu_by_cluster[job.team][cl.name()] += job.TotalDemand().cpu;
     }
   }
   for (agents::TeamAgent& agent : *agents_) {

@@ -160,12 +160,13 @@ void SettlementPipeline::ApplyPhysical(
     // over-release returns to the operator's free pool).
     cluster::Cluster& cl = fleet_->ClusterByName(cluster_name);
     std::vector<std::pair<double, cluster::JobId>> candidates;
-    for (cluster::JobId id : cl.JobIds()) {
-      const cluster::Job* job = cl.FindJob(id);
-      if (job != nullptr && job->team == team) {
-        candidates.emplace_back(job->TotalDemand().cpu, id);
+    for (const cluster::Job& job : cl.Jobs()) {
+      if (job.team == team) {
+        candidates.emplace_back(job.TotalDemand().cpu, job.id);
       }
     }
+    // (cpu, id) is a total order, so the walk order above cannot change
+    // which jobs go.
     std::sort(candidates.rbegin(), candidates.rend());
     cluster::TaskShape freed;
     for (const auto& [cpu, id] : candidates) {

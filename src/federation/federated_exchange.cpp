@@ -587,6 +587,11 @@ void FederatedExchange::RunShards(EpochState& s) {
     }
     try {
       run_one();
+    } catch (const CheckFailure& e) {
+      // The location-free reason: the failure text lands in the event
+      // ring and the flight dump, which must not change with line numbers.
+      summary.failed = true;
+      summary.failure = e.reason();
     } catch (const std::exception& e) {
       summary.failed = true;
       summary.failure = e.what();

@@ -33,7 +33,8 @@ struct ShardEpochSummary {
   /// and excluded from aggregates (notably the all_converged fold — a
   /// contained failure is not a convergence failure).
   bool failed = false;
-  /// What the failed shard threw (empty otherwise).
+  /// What the failed shard threw, without a PM_CHECK's source location
+  /// (empty otherwise).
   std::string failure;
   /// Health after the post-epoch transition, for the report page.
   ShardHealth health = ShardHealth::kHealthy;

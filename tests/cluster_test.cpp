@@ -1,8 +1,12 @@
 // Tests for pm::cluster: machines, placement policies, clusters, fleet.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <unordered_map>
+#include <utility>
 
 #include "agents/workload_gen.h"
 #include "cluster/fleet.h"
@@ -32,14 +36,6 @@ TEST(TaskShapeTest, ArithmeticAndScaling) {
   EXPECT_EQ((a + b).cpu, 1.5);
   EXPECT_EQ((a - b).disk_tb, 2.5);
   EXPECT_EQ((a * 2.0).ram_gb, 4.0);
-}
-
-TEST(TaskShapeTest, FitsIsComponentWise) {
-  const TaskShape big{4.0, 4.0, 4.0};
-  EXPECT_TRUE(big.Fits({4.0, 4.0, 4.0}));
-  EXPECT_TRUE(big.Fits({1.0, 1.0, 1.0}));
-  EXPECT_FALSE(big.Fits({5.0, 1.0, 1.0}));
-  EXPECT_FALSE(big.Fits({1.0, 1.0, 4.1}));
 }
 
 TEST(JobTest, TotalDemandScalesByTasks) {
@@ -193,6 +189,120 @@ TEST(ClusterTest, JobIdsInInsertionOrder) {
     ASSERT_TRUE(c.AddJob(MakeJob(id, "t", 1)));
   }
   EXPECT_EQ(c.JobIds(), (std::vector<JobId>{5, 2, 9}));
+}
+
+// The job order Cluster kept before its jobs were stored in insertion
+// order: a hash map whose entries carry an insertion counter, sorted by
+// it on every walk.
+class JobOrderOracle {
+ public:
+  void Add(const Job& job) { jobs_[job.id] = {job, next_order_++}; }
+  void Remove(JobId id) { jobs_.erase(id); }
+  void Renumber(JobId from, JobId to) {
+    auto node = jobs_.extract(from);
+    node.key() = to;
+    node.mapped().first.id = to;
+    jobs_.insert(std::move(node));
+  }
+  void Restore(const std::vector<Job>& in_order) {
+    jobs_.clear();
+    next_order_ = 0;
+    for (const Job& job : in_order) Add(job);
+  }
+  bool Has(JobId id) const { return jobs_.count(id) > 0; }
+  std::vector<Job> Walk() const {
+    std::vector<std::pair<std::size_t, Job>> ordered;
+    for (const auto& [id, entry] : jobs_) {
+      ordered.emplace_back(entry.second, entry.first);
+    }
+    std::sort(ordered.begin(), ordered.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::vector<Job> jobs;
+    for (auto& [order, job] : ordered) jobs.push_back(std::move(job));
+    return jobs;
+  }
+
+ private:
+  std::unordered_map<JobId, std::pair<Job, std::size_t>> jobs_;
+  std::size_t next_order_ = 0;
+};
+
+void ExpectSameJobOrder(const Cluster& c, const JobOrderOracle& oracle) {
+  const std::vector<Job> expected = oracle.Walk();
+  std::vector<JobId> expected_ids;
+  for (const Job& job : expected) expected_ids.push_back(job.id);
+  EXPECT_EQ(c.JobIds(), expected_ids);
+  std::vector<JobId> walked;
+  for (const Job& job : c.Jobs()) walked.push_back(job.id);
+  EXPECT_EQ(walked, expected_ids);
+  const std::vector<Cluster::PlacedJobRecord> records = c.ExportJobs();
+  ASSERT_EQ(records.size(), expected.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].job.id, expected[i].id);
+    EXPECT_EQ(records[i].job.team, expected[i].team);
+    EXPECT_EQ(records[i].job.tasks, expected[i].tasks);
+    EXPECT_EQ(records[i].job.shape, expected[i].shape);
+    EXPECT_EQ(records[i].placement.TotalPlaced(), expected[i].tasks);
+    const Job* found = c.FindJob(expected[i].id);
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(found->team, expected[i].team);
+  }
+}
+
+TEST(ClusterTest, JobOrderMatchesSortedOracle) {
+  RandomStream rng(4242);
+  Cluster c = Cluster::Homogeneous("c1", 12, kMachine);
+  JobOrderOracle oracle;
+  JobId next_id = 1;
+  std::vector<JobId> live;
+  const auto pick_live = [&]() -> std::size_t {
+    return static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
+  };
+  for (int step = 0; step < 3000; ++step) {
+    const double op = rng.Uniform(0.0, 1.0);
+    if (op < 0.45) {
+      Job job = MakeJob(next_id++, "t" + std::to_string(step % 7),
+                        static_cast<int>(rng.UniformInt(1, 3)));
+      job.shape = {rng.Uniform(0.5, 3.0), rng.Uniform(1.0, 8.0), 0.5};
+      if (c.AddJob(job)) {
+        oracle.Add(job);
+        live.push_back(job.id);
+      }
+    } else if (op < 0.80 && !live.empty()) {
+      const std::size_t i = pick_live();
+      ASSERT_TRUE(c.RemoveJob(live[i]).has_value());
+      oracle.Remove(live[i]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (op < 0.90 && !live.empty()) {
+      const std::size_t i = pick_live();
+      c.RenumberJob(live[i], next_id);
+      oracle.Renumber(live[i], next_id);
+      live[i] = next_id++;
+    } else if (op < 0.95) {
+      // Checkpoint round trip: the machines carry their usage over, the
+      // records their order.
+      Cluster restored("c1", c.machines());
+      restored.RestoreJobs(c.ExportJobs());
+      oracle.Restore(oracle.Walk());
+      c = std::move(restored);
+    } else {
+      // A copy keeps its own order: mutate the original and check the
+      // copy did not follow.
+      const Cluster copy = c;
+      const JobOrderOracle copy_oracle = oracle;
+      if (!live.empty()) {
+        const std::size_t i = pick_live();
+        ASSERT_TRUE(c.RemoveJob(live[i]).has_value());
+        oracle.Remove(live[i]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+      ExpectSameJobOrder(copy, copy_oracle);
+    }
+    for (const JobId id : live) ASSERT_TRUE(oracle.Has(id));
+    ExpectSameJobOrder(c, oracle);
+    if (HasFailure()) FAIL() << "diverged at step " << step;
+  }
 }
 
 TEST(ClusterTest, UtilizationAggregatesMachines) {

@@ -37,6 +37,17 @@ TEST(CheckTest, MessageIsIncluded) {
   }
 }
 
+TEST(CheckTest, ReasonIsWhatWithoutTheLocation) {
+  try {
+    PM_CHECK_MSG(1 + 1 == 3, "index " << 42 << " bad");
+    FAIL() << "should have thrown";
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("common_test.cpp:"), std::string::npos);
+    EXPECT_EQ(e.reason(), "PM_CHECK failed: 1 + 1 == 3 — index 42 bad");
+  }
+}
+
 // ------------------------------------------------------- resource kinds --
 
 TEST(ResourceKindTest, RoundTripsThroughStrings) {

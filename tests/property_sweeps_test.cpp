@@ -14,6 +14,7 @@
 #include <bit>
 #include <map>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "agents/workload_gen.h"
@@ -103,8 +104,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TbblPropertyTest, ::testing::Range(0, 12));
 
 // The machine sets placement runs over. kIdentical makes every pick on
 // empty machines a tie, which best fit must break to the lowest index;
-// kPreloaded starts from machines that are already partly used.
-enum class MachineMix { kRandom, kIdentical, kPreloaded };
+// kPreloaded starts from machines that are already partly used;
+// kZeroDimension gives every machine no capacity in one random dimension,
+// so it only takes shapes that are zero there.
+enum class MachineMix { kRandom, kIdentical, kPreloaded, kZeroDimension };
 
 using PlacementParam = std::tuple<int, MachineMix>;
 
@@ -124,8 +127,12 @@ std::vector<cluster::Machine> MakeMachines(RandomStream& rng,
                                     : cluster::TaskShape{};
   std::vector<cluster::Machine> machines;
   for (int m = 0; m < num_machines; ++m) {
-    machines.emplace_back(mix == MachineMix::kIdentical ? shared
-                                                        : RandomCapacity(rng));
+    cluster::TaskShape capacity =
+        mix == MachineMix::kIdentical ? shared : RandomCapacity(rng);
+    if (mix == MachineMix::kZeroDimension) {
+      capacity.Of(kAllResourceKinds[rng.UniformInt(0, 2)]) = 0.0;
+    }
+    machines.emplace_back(capacity);
     if (mix == MachineMix::kPreloaded) {
       const cluster::TaskShape& cap = machines.back().capacity();
       machines.back().Place(cluster::TaskShape{
@@ -177,9 +184,10 @@ TEST_P(PlacementPropertyTest, NeverExceedsCapacityAndUndoRestores) {
   }
 }
 
-// Differential oracle: the dense placement scan the sparse slots
-// replaced. Same best-fit pick rule as PickMachine, but it records one
-// task count per machine and undoes by walking every machine.
+// Differential oracle: the dense placement scan that PlaceTasks' sparse
+// slots and tournament tree replaced. Same best-fit pick rule, but it
+// rescans every machine per task, records one task count per machine and
+// undoes by walking every machine.
 std::vector<int> OraclePlaceTasks(std::vector<cluster::Machine>& machines,
                                   const cluster::TaskShape& shape, int count,
                                   int* tasks_failed) {
@@ -236,14 +244,28 @@ void ExpectSameBits(const std::vector<cluster::Machine>& a,
   }
 }
 
-TEST_P(PlacementPropertyTest, SparseSlotsMatchDenseOracle) {
-  RandomStream rng(7800 + static_cast<std::uint64_t>(
-                              std::get<0>(GetParam())));
-  std::vector<cluster::Machine> machines =
-      MakeMachines(rng, static_cast<int>(rng.UniformInt(1, 40)),
-                   std::get<1>(GetParam()));
-  std::vector<cluster::Machine> oracle = machines;
+// An upper bound on the tasks of `shape` that `machines` can take, even
+// empty: asking for this many exhausts them partway through the call.
+int ExhaustingCount(const std::vector<cluster::Machine>& machines,
+                    const cluster::TaskShape& shape) {
+  int total = 1;
+  for (const cluster::Machine& m : machines) {
+    double fit = 1e9;
+    for (ResourceKind kind : kAllResourceKinds) {
+      if (shape.Of(kind) > 0.0) {
+        fit = std::min(fit, m.capacity().Of(kind) / shape.Of(kind));
+      }
+    }
+    total += static_cast<int>(fit) + 2;
+  }
+  return total;
+}
 
+// Runs random placement rounds on `machines` and on a copy through the
+// dense oracle, expecting the same picks and bit-identical usage.
+void ExpectPlacementMatchesOracle(RandomStream& rng,
+                                  std::vector<cluster::Machine> machines) {
+  std::vector<cluster::Machine> oracle = machines;
   struct Placed {
     cluster::TaskShape shape;
     cluster::PlacementResult result;
@@ -251,10 +273,23 @@ TEST_P(PlacementPropertyTest, SparseSlotsMatchDenseOracle) {
   };
   std::vector<Placed> placed;
   for (int round = 0; round < 40; ++round) {
-    const cluster::TaskShape shape{rng.Uniform(0.5, 6.0),
-                                   rng.Uniform(1.0, 24.0),
-                                   rng.Uniform(0.1, 3.0)};
-    const int count = static_cast<int>(rng.UniformInt(0, 30));
+    // Every tenth round asks for more tasks than the machines can hold,
+    // with shapes large enough to keep that request small.
+    const bool exhaust = round % 10 == 9;
+    cluster::TaskShape shape =
+        exhaust ? cluster::TaskShape{rng.Uniform(4.0, 8.0),
+                                     rng.Uniform(16.0, 32.0),
+                                     rng.Uniform(2.0, 4.0)}
+                : cluster::TaskShape{rng.Uniform(0.5, 6.0),
+                                     rng.Uniform(1.0, 24.0),
+                                     rng.Uniform(0.1, 3.0)};
+    // Zero components reach the zero-capacity dimensions and the
+    // capacity-less branch of FillAfter.
+    if (rng.Bernoulli(0.3)) {
+      shape.Of(kAllResourceKinds[rng.UniformInt(0, 2)]) = 0.0;
+    }
+    const int count = exhaust ? ExhaustingCount(machines, shape)
+                              : static_cast<int>(rng.UniformInt(0, 30));
     cluster::PlacementResult result = PlaceTasks(machines, shape, count);
     int oracle_failed = 0;
     std::vector<int> dense =
@@ -264,12 +299,13 @@ TEST_P(PlacementPropertyTest, SparseSlotsMatchDenseOracle) {
     }
     EXPECT_EQ(Expand(result, machines.size()), dense) << "round " << round;
     EXPECT_EQ(result.tasks_failed, oracle_failed) << "round " << round;
+    if (exhaust) EXPECT_GT(result.tasks_failed, 0) << "round " << round;
     ExpectSameBits(machines, oracle);
     placed.push_back(Placed{shape, std::move(result), std::move(dense)});
 
     // Undo a random earlier placement now and then, so later rounds
     // place onto machines that were partly freed.
-    if (!placed.empty() && rng.Bernoulli(0.3)) {
+    if (rng.Bernoulli(0.3)) {
       const auto pick = static_cast<std::size_t>(rng.UniformInt(
           0, static_cast<std::int64_t>(placed.size()) - 1));
       UndoPlacement(machines, placed[pick].shape, placed[pick].result);
@@ -285,6 +321,21 @@ TEST_P(PlacementPropertyTest, SparseSlotsMatchDenseOracle) {
   ExpectSameBits(machines, oracle);
 }
 
+TEST_P(PlacementPropertyTest, SparseSlotsMatchDenseOracle) {
+  RandomStream rng(7800 + static_cast<std::uint64_t>(
+                              std::get<0>(GetParam())));
+  // PlaceTasks keeps a tournament tree over the machines: cover a lone
+  // machine, both sides of a power of two and a planet-sized cluster,
+  // plus one random size.
+  const int sizes[] = {1, 2, 3, 63, 64, 65, 600,
+                       static_cast<int>(rng.UniformInt(1, 40))};
+  for (const int num_machines : sizes) {
+    SCOPED_TRACE("machines " + std::to_string(num_machines));
+    ExpectPlacementMatchesOracle(
+        rng, MakeMachines(rng, num_machines, std::get<1>(GetParam())));
+  }
+}
+
 // The instance name predates the machine-mix axis (it swept placement
 // policies when there were three); it is kept so the test IDs stay stable.
 INSTANTIATE_TEST_SUITE_P(
@@ -292,7 +343,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range(0, 6),
                        ::testing::Values(MachineMix::kRandom,
                                          MachineMix::kIdentical,
-                                         MachineMix::kPreloaded)));
+                                         MachineMix::kPreloaded,
+                                         MachineMix::kZeroDimension)));
 
 // --------------------------------------------------- market invariants --
 

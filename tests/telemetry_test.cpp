@@ -240,6 +240,25 @@ TEST(FlightDumpTest, CrashDumpCarriesBidChainAndTransition) {
   EXPECT_TRUE(saw_reroute);
 }
 
+TEST(FlightDumpTest, DumpCarriesNoSourceLocation) {
+  // The dump goes into the exported trace, which must not change when the
+  // throwing file shifts by a line: the reason keeps the check's
+  // expression and message but drops `file:line`.
+  federation::FederatedExchange fed(TwoShards(), SupervisedTelemetryConfig());
+  fed.InjectShardFailure(0);
+  fed.RunEpoch();
+  const Telemetry* telemetry = fed.telemetry();
+  ASSERT_NE(telemetry, nullptr);
+  ASSERT_EQ(telemetry->recorder().dumps().size(), 1u);
+  const FlightDump& dump = telemetry->recorder().dumps()[0];
+  EXPECT_NE(dump.reason.find("PM_CHECK failed: inject_fail_[k] == 0"),
+            std::string::npos);
+  EXPECT_NE(dump.reason.find("injected failure"), std::string::npos);
+  EXPECT_EQ(dump.reason.find(".cpp:"), std::string::npos) << dump.reason;
+  EXPECT_EQ(dump.text.find(".cpp:"), std::string::npos) << dump.text;
+  EXPECT_EQ(telemetry->TraceJson().find(".cpp:"), std::string::npos);
+}
+
 TEST(FlightDumpTest, DumpBytesStableAcrossRerunsAndThreads) {
   const auto run = [](std::size_t threads) {
     federation::FederationConfig config = SupervisedTelemetryConfig();
