@@ -8,6 +8,7 @@
 // smoothing belief about per-pool prices plus a decaying safety markup.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -26,7 +27,10 @@ class PriceLearner {
                double initial_markup, double markup_decay);
 
   /// Current believed price for a pool.
-  double Belief(std::size_t pool) const;
+  double Belief(std::size_t pool) const {
+    if (pool >= beliefs_.size()) [[unlikely]] BeliefOutOfRange(pool);
+    return beliefs_[pool];
+  }
 
   /// Believed cost of a quantity vector: Σ qty·belief over items.
   double BelievedCost(std::span<const std::size_t> pools,
@@ -60,6 +64,9 @@ class PriceLearner {
                     int observations);
 
  private:
+  /// Belief's failure branch, out of line: throws pm::CheckFailure.
+  void BeliefOutOfRange(std::size_t pool) const;
+
   std::vector<double> beliefs_;
   double smoothing_;
   double markup_;

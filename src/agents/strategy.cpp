@@ -1,6 +1,7 @@
 #include "agents/strategy.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -67,14 +68,15 @@ class TruthfulGrowthStrategy final : public Strategy {
         registry, *ctx.learner, profile.home_cluster, delta);
     const double setup_penalty = 0.02 * profile.relocation_cost;
     const std::size_t home = HomeIndex(registry, profile);
-    for (const std::size_t c : ClustersByBelievedCost(
-             registry, *ctx.learner, ctx.placement_penalty, delta)) {
-      if (c == home) continue;
-      if (!FitsFreeCapacity(*ctx.view, c, delta)) continue;
+    ClusterRanking ranking(registry, *ctx.learner, ctx.placement_penalty,
+                           delta);
+    while (const std::optional<std::size_t> c = ranking.Next()) {
+      if (*c == home) continue;
+      if (!FitsFreeCapacity(*ctx.view, *c, delta)) continue;
       const double cost =
-          BelievedClusterCost(registry, *ctx.learner, c, delta) +
+          BelievedClusterCost(registry, *ctx.learner, *c, delta) +
           setup_penalty;
-      bundles.push_back(BundleForCluster(registry, c, delta));
+      bundles.push_back(BundleForCluster(registry, *c, delta));
       cheapest_cost = std::min(cheapest_cost, cost);
       if (++alternatives >= 3) break;
     }
@@ -196,11 +198,12 @@ class OpportunistMoverStrategy final : public Strategy {
     rebuy.name = profile.name + "/relocate";
     rebuy.bundles = {BundleForCluster(registry, best, slice)};
     int alternatives = 0;
-    for (const std::size_t c : ClustersByBelievedCost(
-             registry, *ctx.learner, ctx.placement_penalty, slice)) {
-      if (c == home || c == best) continue;
-      if (!FitsFreeCapacity(*ctx.view, c, slice)) continue;
-      rebuy.bundles.push_back(BundleForCluster(registry, c, slice));
+    ClusterRanking ranking(registry, *ctx.learner, ctx.placement_penalty,
+                           slice);
+    while (const std::optional<std::size_t> c = ranking.Next()) {
+      if (*c == home || *c == best) continue;
+      if (!FitsFreeCapacity(*ctx.view, *c, slice)) continue;
+      rebuy.bundles.push_back(BundleForCluster(registry, *c, slice));
       if (++alternatives >= 2) break;
     }
     const double markup = ctx.learner->Markup();
@@ -286,14 +289,8 @@ class ArbitrageurStrategy final : public Strategy {
       sell.bundles = {sell_bundle};
       // Ask just under believed value: the margin was locked in at
       // purchase; underselling the belief only risks the uniform price.
-      const double believed_value = -sell_bundle.Dot(
-          [&] {
-            std::vector<double> beliefs(registry.size(), 0.0);
-            for (PoolId r = 0; r < registry.size(); ++r) {
-              beliefs[r] = ctx.learner->Belief(r);
-            }
-            return beliefs;
-          }());
+      const double believed_value =
+          -sell_bundle.Dot(ctx.learner->beliefs());
       sell.limit = -std::max(believed_value * 0.9, 1.0);
       bids.push_back(std::move(sell));
     }
@@ -356,50 +353,58 @@ double ClusterPlacementPenalty(const PoolRegistry& registry,
   return ClusterPlacementPenalty(registry, penalty, *index);
 }
 
-std::vector<std::size_t> ClustersByBelievedCost(
-    const PoolRegistry& registry, const PriceLearner& learner,
-    const std::vector<double>* placement_penalty,
-    const cluster::TaskShape& delta) {
-  const std::vector<std::string>& names = registry.Clusters();
-  std::vector<std::pair<double, std::size_t>> ranked;
-  ranked.reserve(names.size());
-  for (std::size_t c = 0; c < names.size(); ++c) {
-    const double penalty =
-        ClusterPlacementPenalty(registry, placement_penalty, c);
-    if (penalty >= kPlacementPenaltyAvoid) continue;
-    const double cost = BelievedClusterCost(registry, learner, c, delta) *
-                        (1.0 + kPlacementPenaltyWeight * penalty);
-    ranked.emplace_back(cost, c);
-  }
-  // Cost, then name: the lexicographic order of (cost, name) pairs.
-  std::sort(ranked.begin(), ranked.end(),
-            [&names](const std::pair<double, std::size_t>& a,
-                     const std::pair<double, std::size_t>& b) {
-              if (a.first < b.first) return true;
-              if (b.first < a.first) return false;
-              return names[a.second] < names[b.second];
-            });
-  std::vector<std::size_t> clusters;
-  clusters.reserve(ranked.size());
-  for (const auto& [cost, c] : ranked) clusters.push_back(c);
-  return clusters;
-}
-
 bool IsArbitrageBidName(std::string_view bid_name) {
   return bid_name.find("/arb-") != std::string_view::npos;
 }
 
 namespace {
 
+/// TradedPool's failure branch, out of line so the lookup inlines.
+[[gnu::cold]] void CheckTradedPool(const PoolRegistry& registry,
+                                   std::size_t cluster, ResourceKind kind,
+                                   PoolId id) {
+  PM_CHECK_MSG(id != kInvalidPool, "cluster '" << registry.Clusters()[cluster]
+                                               << "' missing pool for kind "
+                                               << pm::ToString(kind));
+}
+
 /// The pool of (cluster, kind) for a kind the caller trades in; the
 /// cluster must have one.
 PoolId TradedPool(const PoolRegistry& registry, std::size_t cluster,
                   ResourceKind kind) {
   const PoolId id = registry.PoolOf(cluster, kind);
-  PM_CHECK_MSG(id != kInvalidPool, "cluster '" << registry.Clusters()[cluster]
-                                               << "' missing pool for kind "
-                                               << pm::ToString(kind));
+  if (id == kInvalidPool) [[unlikely]] {
+    CheckTradedPool(registry, cluster, kind, id);
+  }
   return id;
+}
+
+/// The terms of a believed cost: `delta`'s nonzero components, in
+/// kAllResourceKinds order. A ranking reads them once, not per cluster.
+struct CostTerms {
+  explicit CostTerms(const cluster::TaskShape& delta) {
+    for (ResourceKind kind : kAllResourceKinds) {
+      const double qty = delta.Of(kind);
+      if (qty == 0.0) continue;
+      kinds[size] = kind;
+      qtys[size++] = qty;
+    }
+  }
+
+  std::array<ResourceKind, kNumResourceKinds> kinds{};
+  std::array<double, kNumResourceKinds> qtys{};
+  std::size_t size = 0;
+};
+
+/// Σ qty · belief of `cluster`'s pools over the terms, in their order.
+double TermsCost(const PoolRegistry& registry, const PriceLearner& learner,
+                 std::size_t cluster, const CostTerms& terms) {
+  double cost = 0.0;
+  for (std::size_t t = 0; t < terms.size; ++t) {
+    cost += terms.qtys[t] *
+            learner.Belief(TradedPool(registry, cluster, terms.kinds[t]));
+  }
+  return cost;
 }
 
 /// The cluster index of a named cluster the caller trades in.
@@ -412,6 +417,43 @@ std::size_t TradedCluster(const PoolRegistry& registry,
 }
 
 }  // namespace
+
+ClusterRanking::ClusterRanking(const PoolRegistry& registry,
+                               const PriceLearner& learner,
+                               const std::vector<double>* placement_penalty,
+                               const cluster::TaskShape& delta)
+    : names_(&registry.Clusters()) {
+  const CostTerms terms(delta);
+  const std::size_t num_clusters = names_->size();
+  costs_.resize(num_clusters);
+  heap_.reserve(num_clusters);
+  for (std::size_t c = 0; c < num_clusters; ++c) {
+    const double penalty =
+        ClusterPlacementPenalty(registry, placement_penalty, c);
+    if (penalty >= kPlacementPenaltyAvoid) continue;
+    costs_[c] = TermsCost(registry, learner, c, terms) *
+                (1.0 + kPlacementPenaltyWeight * penalty);
+    heap_.push_back(c);
+  }
+  std::make_heap(heap_.begin(), heap_.end(),
+                 [this](std::size_t a, std::size_t b) { return After(a, b); });
+}
+
+bool ClusterRanking::After(std::size_t a, std::size_t b) const {
+  // Cost, then name: the lexicographic order of (cost, name) pairs.
+  if (costs_[b] < costs_[a]) return true;
+  if (costs_[a] < costs_[b]) return false;
+  return (*names_)[b] < (*names_)[a];
+}
+
+std::optional<std::size_t> ClusterRanking::Next() {
+  if (heap_.empty()) return std::nullopt;
+  std::pop_heap(heap_.begin(), heap_.end(),
+                [this](std::size_t a, std::size_t b) { return After(a, b); });
+  const std::size_t c = heap_.back();
+  heap_.pop_back();
+  return c;
+}
 
 bid::Bundle BundleForCluster(const PoolRegistry& registry,
                              std::size_t cluster,
@@ -434,13 +476,7 @@ bid::Bundle BundleForCluster(const PoolRegistry& registry,
 double BelievedClusterCost(const PoolRegistry& registry,
                            const PriceLearner& learner, std::size_t cluster,
                            const cluster::TaskShape& delta) {
-  double cost = 0.0;
-  for (ResourceKind kind : kAllResourceKinds) {
-    const double qty = delta.Of(kind);
-    if (qty == 0.0) continue;
-    cost += qty * learner.Belief(TradedPool(registry, cluster, kind));
-  }
-  return cost;
+  return TermsCost(registry, learner, cluster, CostTerms(delta));
 }
 
 double BelievedClusterCost(const PoolRegistry& registry,

@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -111,14 +112,31 @@ double ClusterPlacementPenalty(const PoolRegistry& registry,
                                const std::string& cluster);
 
 /// Registry cluster indices ranked by believed cost of hosting `delta`,
-/// cheapest first, ties broken by cluster name. Cost is scaled by the
-/// placement-penalty factor, and chronically unplaceable clusters
-/// (penalty >= kPlacementPenaltyAvoid) are dropped; with no placement
-/// memory (the outcome_feedback-off path) every factor is exactly 1 and
-/// nothing is dropped, so the ranking is the price-only ordering.
-std::vector<std::size_t> ClustersByBelievedCost(
-    const PoolRegistry& registry, const PriceLearner& learner,
-    const std::vector<double>* placement_penalty,
-    const cluster::TaskShape& delta);
+/// cheapest first, ties broken by cluster name, produced lazily: the
+/// constructor costs every cluster once and heapifies (O(C)), and each
+/// Next() pops the cheapest remaining cluster (O(log C)), so a bidder
+/// that keeps the first few clusters that fit never orders the rest.
+/// Cost is scaled by the placement-penalty factor, and chronically
+/// unplaceable clusters (penalty >= kPlacementPenaltyAvoid) are dropped
+/// without being costed; with no placement memory (the
+/// outcome_feedback-off path) every factor is exactly 1 and nothing is
+/// dropped, so the ranking is the price-only ordering.
+class ClusterRanking {
+ public:
+  ClusterRanking(const PoolRegistry& registry, const PriceLearner& learner,
+                 const std::vector<double>* placement_penalty,
+                 const cluster::TaskShape& delta);
+
+  /// The cheapest cluster not yet returned; nullopt once all are.
+  std::optional<std::size_t> Next();
+
+ private:
+  /// Whether cluster `a` ranks after cluster `b` (the heap's "less").
+  bool After(std::size_t a, std::size_t b) const;
+
+  const std::vector<std::string>* names_;
+  std::vector<double> costs_;      // Ranked cost by cluster index.
+  std::vector<std::size_t> heap_;  // Ranked clusters not yet returned.
+};
 
 }  // namespace pm::agents

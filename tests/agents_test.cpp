@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -152,6 +155,31 @@ std::vector<std::size_t> NaiveRanking(const PoolRegistry& registry,
   return out;
 }
 
+/// The whole lazy ranking as a vector: ClusterRanking drained.
+std::vector<std::size_t> DrainRanking(const PoolRegistry& registry,
+                                      const PriceLearner& learner,
+                                      const std::vector<double>* penalty,
+                                      const cluster::TaskShape& delta) {
+  ClusterRanking ranking(registry, learner, penalty, delta);
+  std::vector<std::size_t> out;
+  while (const std::optional<std::size_t> c = ranking.Next()) {
+    out.push_back(*c);
+  }
+  EXPECT_FALSE(ranking.Next().has_value()) << "a drained ranking refilled";
+  return out;
+}
+
+/// `n` clusters interned out of lexicographic name order: index c is
+/// named "c<7c mod n>", distinct for every n not divisible by 7.
+PoolRegistry ShuffledRegistry(int n) {
+  PoolRegistry registry;
+  for (int c = 0; c < n; ++c) {
+    const std::string name = "c" + std::to_string((c * 7) % n);
+    for (ResourceKind kind : kAllResourceKinds) registry.Intern(name, kind);
+  }
+  return registry;
+}
+
 TEST(StrategyHelperTest, RankingBreaksCostTiesByName) {
   // Interned out of name order; delta/alpha/bravo tie on cost.
   PoolRegistry registry;
@@ -166,7 +194,7 @@ TEST(StrategyHelperTest, RankingBreaksCostTiesByName) {
   const PriceLearner learner(beliefs, 0.5, 0.0, 1.0);
   const cluster::TaskShape delta{4.0, 8.0, 1.0};
   const std::vector<std::size_t> ranked =
-      ClustersByBelievedCost(registry, learner, nullptr, delta);
+      DrainRanking(registry, learner, nullptr, delta);
   // charlie, then alpha < bravo < delta by name, then echo.
   EXPECT_EQ(ranked, (std::vector<std::size_t>{2, 1, 3, 0, 4}));
   EXPECT_EQ(ranked, NaiveRanking(registry, learner, nullptr, delta));
@@ -177,39 +205,264 @@ TEST(StrategyHelperTest, RankingBreaksCostTiesByName) {
   penalty[*registry.Find(PoolKey{"echo", ResourceKind::kRam})] = 0.7;
   penalty[*registry.Find(PoolKey{"charlie", ResourceKind::kCpu})] = 0.3;
   const std::vector<std::size_t> with_memory =
-      ClustersByBelievedCost(registry, learner, &penalty, delta);
+      DrainRanking(registry, learner, &penalty, delta);
   EXPECT_EQ(with_memory, (std::vector<std::size_t>{1, 3, 0, 2}));
   EXPECT_EQ(with_memory, NaiveRanking(registry, learner, &penalty, delta));
 }
 
 TEST(StrategyHelperTest, RankingMatchesNaiveSortOnRandomTies) {
   RandomStream rng(4242);
-  PoolRegistry registry;
-  // Names deliberately out of lexicographic order.
-  for (int c = 0; c < 24; ++c) {
-    const std::string name = "c" + std::to_string((c * 7) % 24);
-    for (ResourceKind kind : kAllResourceKinds) registry.Intern(name, kind);
-  }
   const double levels[] = {0.5, 1.0, 1.5};
-  const double penalties[] = {0.0, 0.0, 0.2, 0.6, 0.9};
+  const double penalties[] = {0.0, 0.0, 0.2, kPlacementPenaltyAvoid, 0.9};
   int dropped = 0;
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<double> beliefs(registry.size());
-    for (double& b : beliefs) b = levels[rng.UniformInt(0, 2)];
-    const PriceLearner learner(beliefs, 0.5, 0.0, 1.0);
-    std::vector<double> penalty(registry.size());
-    for (double& p : penalty) p = penalties[rng.UniformInt(0, 4)];
-    const cluster::TaskShape delta{
-        static_cast<double>(rng.UniformInt(0, 3)), 2.0,
-        static_cast<double>(rng.UniformInt(0, 1))};
-    const auto* memory = trial % 2 == 0 ? &penalty : nullptr;
-    const std::vector<std::size_t> ranked =
-        ClustersByBelievedCost(registry, learner, memory, delta);
-    EXPECT_EQ(ranked, NaiveRanking(registry, learner, memory, delta))
-        << "trial " << trial;
-    dropped += static_cast<int>(registry.Clusters().size() - ranked.size());
+  for (const int num_clusters : {0, 1, 24, 200}) {
+    const PoolRegistry registry = ShuffledRegistry(num_clusters);
+    for (int trial = 0; trial < 50; ++trial) {
+      std::vector<double> beliefs(std::max<std::size_t>(registry.size(), 1));
+      for (double& b : beliefs) b = levels[rng.UniformInt(0, 2)];
+      const PriceLearner learner(beliefs, 0.5, 0.0, 1.0);
+      // Memory: none, empty, one entry per pool, half the pools.
+      const int memory_kind = trial % 4;
+      std::vector<double> penalty;
+      if (memory_kind >= 2) {
+        penalty.resize(memory_kind == 2 ? registry.size()
+                                        : registry.size() / 2);
+        for (double& p : penalty) p = penalties[rng.UniformInt(0, 4)];
+      }
+      const auto* memory = memory_kind == 0 ? nullptr : &penalty;
+      const cluster::TaskShape delta{
+          static_cast<double>(rng.UniformInt(0, 3)), 2.0,
+          static_cast<double>(rng.UniformInt(0, 1))};
+      const std::vector<std::size_t> ranked =
+          DrainRanking(registry, learner, memory, delta);
+      EXPECT_EQ(ranked, NaiveRanking(registry, learner, memory, delta))
+          << num_clusters << " clusters, trial " << trial;
+      dropped += static_cast<int>(registry.Clusters().size() - ranked.size());
+    }
   }
   EXPECT_GT(dropped, 0);
+}
+
+TEST(StrategyHelperTest, RankingKeepsPoolAndBeliefChecks) {
+  PoolRegistry registry;
+  for (ResourceKind kind : kAllResourceKinds) registry.Intern("full", kind);
+  registry.Intern("cpu-only", ResourceKind::kCpu);
+  const PriceLearner learner(std::vector<double>(registry.size(), 1.0), 0.5,
+                             0.0, 1.0);
+  // A cpu-only shape ranks both clusters; one with ram needs a ram pool.
+  EXPECT_EQ(DrainRanking(registry, learner, nullptr, {1.0, 0.0, 0.0}).size(),
+            2u);
+  try {
+    ClusterRanking(registry, learner, nullptr, {1.0, 2.0, 0.0});
+    ADD_FAILURE() << "a cluster missing a traded pool was ranked";
+  } catch (const pm::CheckFailure& failure) {
+    EXPECT_NE(failure.reason().find("'cpu-only' missing pool for kind"),
+              std::string::npos)
+        << failure.reason();
+  }
+  // A learner that tracks fewer pools than the registry holds.
+  const PriceLearner short_learner({1.0, 1.0}, 0.5, 0.0, 1.0);
+  try {
+    ClusterRanking(registry, short_learner, nullptr, {1.0, 0.0, 0.0});
+    ADD_FAILURE() << "a pool beyond the learner's beliefs was ranked";
+  } catch (const pm::CheckFailure& failure) {
+    EXPECT_NE(failure.reason().find("beyond beliefs of size 2"),
+              std::string::npos)
+        << failure.reason();
+  }
+}
+
+// The two ranking strategies as they were written over the full sort:
+// the oracle of StrategyTest.RankingStrategiesMatchFullSort.
+
+cluster::TaskShape ReferenceGrowthDelta(const TeamProfile& profile) {
+  cluster::TaskShape delta = profile.footprint * profile.growth_rate;
+  delta.cpu = std::max(delta.cpu, 1.0);
+  delta.ram_gb = std::max(delta.ram_gb, 2.0);
+  delta.disk_tb = std::max(delta.disk_tb, 0.1);
+  return delta;
+}
+
+bool ReferenceFits(const MarketView& view, std::size_t cluster,
+                   const cluster::TaskShape& delta) {
+  for (ResourceKind kind : kAllResourceKinds) {
+    if (delta.Of(kind) <= 0.0) continue;
+    const PoolId id = view.registry->PoolOf(cluster, kind);
+    if (id == kInvalidPool || view.free_capacity[id] < delta.Of(kind)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::vector<bid::Bid> ReferenceGrowthBids(const StrategyContext& ctx) {
+  const TeamProfile& profile = *ctx.profile;
+  const cluster::TaskShape delta = ReferenceGrowthDelta(profile);
+  const PoolRegistry& registry = *ctx.view->registry;
+  std::vector<bid::Bundle> bundles = {
+      BundleForCluster(registry, profile.home_cluster, delta)};
+  double cheapest_cost = BelievedClusterCost(registry, *ctx.learner,
+                                             profile.home_cluster, delta);
+  const std::size_t home = *registry.ClusterIndex(profile.home_cluster);
+  int alternatives = 0;
+  for (const std::size_t c :
+       NaiveRanking(registry, *ctx.learner, ctx.placement_penalty, delta)) {
+    if (c == home || !ReferenceFits(*ctx.view, c, delta)) continue;
+    bundles.push_back(BundleForCluster(registry, c, delta));
+    cheapest_cost = std::min(
+        cheapest_cost, BelievedClusterCost(registry, *ctx.learner, c, delta) +
+                           0.02 * profile.relocation_cost);
+    if (++alternatives >= 3) break;
+  }
+  const double noise = ctx.rng->Uniform(0.97, 1.03);
+  double limit =
+      std::min(cheapest_cost * (1.0 + ctx.learner->Markup()) * noise,
+               cheapest_cost * profile.value_multiplier);
+  limit = std::min(limit, ctx.view->budget);
+  if (limit <= 0.0) return {};
+  bid::Bid bid;
+  bid.name = profile.name + "/grow";
+  bid.bundles = std::move(bundles);
+  bid.limit = limit;
+  return {std::move(bid)};
+}
+
+std::vector<bid::Bid> ReferenceMoverBids(const StrategyContext& ctx) {
+  const TeamProfile& profile = *ctx.profile;
+  const PoolRegistry& registry = *ctx.view->registry;
+  const cluster::TaskShape slice = profile.footprint * 0.5;
+  if (slice.cpu < 1.0) return {};
+  const double home_value = BelievedClusterCost(
+      registry, *ctx.learner, profile.home_cluster, slice);
+  const std::size_t home = *registry.ClusterIndex(profile.home_cluster);
+  std::optional<std::size_t> best;
+  double best_cost = 0.0;
+  double best_ranked = std::numeric_limits<double>::infinity();
+  for (std::size_t c = 0; c < registry.Clusters().size(); ++c) {
+    if (c == home || !ReferenceFits(*ctx.view, c, slice)) continue;
+    const double penalty =
+        ClusterPlacementPenalty(registry, ctx.placement_penalty, c);
+    if (penalty >= kPlacementPenaltyAvoid) continue;
+    const double cost = BelievedClusterCost(registry, *ctx.learner, c, slice);
+    const double ranked = cost * (1.0 + kPlacementPenaltyWeight * penalty);
+    if (ranked < best_ranked) {
+      best_ranked = ranked;
+      best_cost = cost;
+      best = c;
+    }
+  }
+  if (!best.has_value()) return {};
+  if (home_value - best_cost < profile.relocation_cost) {
+    return ReferenceGrowthBids(ctx);
+  }
+  std::vector<bid::Bid> bids;
+  bid::Bid offer;
+  offer.name = profile.name + "/vacate";
+  offer.bundles = {-BundleForCluster(registry, profile.home_cluster, slice)};
+  offer.limit = -std::max(home_value * ctx.rng->Uniform(0.80, 0.95), 1.0);
+  bids.push_back(std::move(offer));
+  bid::Bid rebuy;
+  rebuy.name = profile.name + "/relocate";
+  rebuy.bundles = {BundleForCluster(registry, *best, slice)};
+  int alternatives = 0;
+  for (const std::size_t c :
+       NaiveRanking(registry, *ctx.learner, ctx.placement_penalty, slice)) {
+    if (c == home || c == *best || !ReferenceFits(*ctx.view, c, slice)) {
+      continue;
+    }
+    rebuy.bundles.push_back(BundleForCluster(registry, c, slice));
+    if (++alternatives >= 2) break;
+  }
+  rebuy.limit = std::min(std::min(best_cost * (1.0 + ctx.learner->Markup()),
+                                  best_cost * profile.value_multiplier),
+                         ctx.view->budget);
+  if (rebuy.limit > 0.0) bids.push_back(std::move(rebuy));
+  return bids;
+}
+
+TEST(StrategyTest, RankingStrategiesMatchFullSort) {
+  RandomStream world_rng(77);
+  const double levels[] = {0.5, 1.0, 1.5, 2.0};
+  const double penalties[] = {0.0, 0.0, 0.0, 0.3, 0.7};
+  int moved = 0;
+  int grew = 0;
+  int sat_out = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const PoolRegistry registry = ShuffledRegistry(40);
+    std::vector<double> beliefs(registry.size());
+    for (double& b : beliefs) b = levels[world_rng.UniformInt(0, 3)];
+    // Every fourth world is too full for any relocation slice.
+    const double room = trial % 4 == 3 ? 1.0 : 40.0;
+    std::vector<double> free_capacity(registry.size());
+    for (double& f : free_capacity) f = world_rng.Uniform(0.0, room);
+    const std::vector<double> utilization(registry.size(), 0.5);
+    std::vector<double> penalty(registry.size());
+    for (double& p : penalty) p = penalties[world_rng.UniformInt(0, 4)];
+
+    MarketView view;
+    view.registry = &registry;
+    view.reserve_prices = beliefs;
+    view.utilization = utilization;
+    view.free_capacity = free_capacity;
+    view.budget = trial % 5 == 0 ? 20.0 : 1e6;
+
+    TeamProfile profile;
+    profile.name = "team-" + std::to_string(trial);
+    profile.home_cluster =
+        registry.Clusters()[world_rng.UniformInt(0, 39)];
+    profile.footprint = {world_rng.Uniform(4.0, 60.0),
+                         trial % 3 == 0 ? 0.0 : world_rng.Uniform(0.0, 60.0),
+                         world_rng.Uniform(0.0, 20.0)};
+    const double relocation_costs[] = {0.0, 5.0, 1e9};
+    profile.relocation_cost = relocation_costs[trial % 3];
+    profile.value_multiplier = 2.0;
+
+    const std::uint64_t seed = 1000 + trial;
+    for (const StrategyKind kind :
+         {StrategyKind::kTruthfulGrowth, StrategyKind::kOpportunistMover}) {
+      profile.strategy = kind;
+      PriceLearner learner(beliefs, 0.5, 0.3, 0.9);
+      PriceLearner reference_learner = learner;
+      RandomStream rng(seed);
+      RandomStream reference_rng(seed);
+      std::vector<double> holdings;
+      StrategyContext ctx;
+      ctx.profile = &profile;
+      ctx.view = &view;
+      ctx.learner = &learner;
+      ctx.rng = &rng;
+      ctx.holdings = &holdings;
+      ctx.placement_penalty = trial % 2 == 0 ? &penalty : nullptr;
+      StrategyContext reference_ctx = ctx;
+      reference_ctx.learner = &reference_learner;
+      reference_ctx.rng = &reference_rng;
+
+      const std::vector<bid::Bid> bids = MakeStrategy(kind)->MakeBids(ctx);
+      const std::vector<bid::Bid> expected =
+          kind == StrategyKind::kTruthfulGrowth
+              ? ReferenceGrowthBids(reference_ctx)
+              : ReferenceMoverBids(reference_ctx);
+      ASSERT_EQ(bids.size(), expected.size()) << "trial " << trial;
+      for (std::size_t b = 0; b < bids.size(); ++b) {
+        EXPECT_EQ(bids[b].name, expected[b].name) << "trial " << trial;
+        EXPECT_EQ(bids[b].limit, expected[b].limit) << "trial " << trial;
+        EXPECT_EQ(bids[b].bundles, expected[b].bundles) << "trial " << trial;
+      }
+      if (kind == StrategyKind::kOpportunistMover) {
+        if (bids.empty()) {
+          ++sat_out;
+        } else if (bids[0].name.ends_with("/vacate")) {
+          ++moved;
+        } else {
+          ++grew;
+        }
+      }
+    }
+  }
+  // Every mover branch ran: relocate, fall back to growth, sit out.
+  EXPECT_GT(moved, 0);
+  EXPECT_GT(grew, 0);
+  EXPECT_GT(sat_out, 0);
 }
 
 TEST(StrategyTest, TruthfulGrowthOffersAlternatives) {
